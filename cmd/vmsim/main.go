@@ -75,8 +75,6 @@ var (
 	appFlag    = flag.String("app", "Word", "benchmark for -exp run")
 	instrsFlag = flag.Uint64("instrs", 0, "instruction budget (default 500M/scale)")
 	seqFlag    = flag.Bool("seq", false, "run the experiment grid sequentially")
-	pipeFlag   = flag.Bool("pipeline", true, "decouple functional execution and timing onto two goroutines per run (identical reports, faster wall-clock)")
-	nothreaded = flag.Bool("nothreaded", false, "disable the direct-threaded dispatch fast path in every simulated VM (identical reports; A/B measurement)")
 	freshFlag  = flag.Bool("fresh", false, "disable the simulation-result caches (in-process memoization and -store reads)")
 	storeFlag  = flag.String("store", "", "directory for the persistent cross-process run store (empty: disabled; see docs/runstore.md)")
 	storeMax   = flag.Int64("store-max", 0, "cap on total -store record bytes; least-recently-used records are evicted at startup (0: uncapped)")
@@ -517,15 +515,13 @@ func startProfiling() (stop func(), err error) {
 
 func options() codesignvm.Options {
 	opt := codesignvm.Options{
-		Scale:              *scaleFlag,
-		Sequential:         *seqFlag,
-		NoPipeline:         !*pipeFlag,
-		NoThreadedDispatch: *nothreaded,
-		FreshRuns:          *freshFlag || *timelineFlag != "",
-		Store:              *storeFlag,
-		StoreMaxBytes:      *storeMax,
-		Obs:                obsv,
-		Ctx:                runCtx,
+		Scale:         *scaleFlag,
+		Sequential:    *seqFlag,
+		FreshRuns:     *freshFlag || *timelineFlag != "",
+		Store:         *storeFlag,
+		StoreMaxBytes: *storeMax,
+		Obs:           obsv,
+		Ctx:           runCtx,
 	}
 	if *appsFlag != "" {
 		opt.Apps = strings.Split(*appsFlag, ",")
@@ -665,8 +661,6 @@ func workerCmd(shard, workers int) *exec.Cmd {
 		"-app", *appFlag,
 		"-scale", fmt.Sprint(*scaleFlag),
 		"-store", *storeFlag,
-		"-pipeline=" + fmt.Sprint(*pipeFlag),
-		"-nothreaded=" + fmt.Sprint(*nothreaded),
 	}
 	if *appsFlag != "" {
 		args = append(args, "-apps", *appsFlag)
@@ -724,7 +718,6 @@ func runSingle(opt codesignvm.Options) error {
 	}
 	fmt.Printf("%s on %v: %d static instrs, budget %d\n", *appFlag, m, prog.StaticInstrs, budget)
 	cfg := codesignvm.DefaultConfig(m)
-	cfg.Pipeline = *pipeFlag
 	start := time.Now()
 	// NewRun on a nil observer returns a nil recorder: observability off.
 	vm := codesignvm.NewConfiguredVM(cfg, prog)

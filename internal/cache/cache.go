@@ -7,10 +7,8 @@
 //
 // Concurrency: a Hierarchy has no internal locking and its access
 // order determines its LRU state, so each instance is owned by exactly
-// one goroutine. Under the decoupled execute/timing pipeline that
-// owner is the timing consumer, which replays the producer's memory
-// trace in execution order — the hierarchy therefore observes the same
-// access sequence as a sequential run and reaches the same state.
+// one goroutine: the VM that runs the timing model inline, in
+// execution order.
 package cache
 
 import "fmt"

@@ -21,10 +21,6 @@ import (
 // all inbound edges, bumps each dead translation's Gen (so stale
 // ChainRefs fail their generation check), clears the lookup table, and
 // evicts the flushed kind from the jump-TLB — before calling Reset.
-// In pipelined mode the timing consumer may also hold translation
-// pointers through trace records, so a pipeline drain must complete
-// before Reset runs (the VMM drains before any insert that will
-// flush).
 //
 // A zero-value Arena is not usable; construct with NewArena. maxSlabs
 // bounds each span's slab count for arenas that are never reset (the

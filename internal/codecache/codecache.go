@@ -91,10 +91,10 @@ type Translation struct {
 	NumUops int    // micro-ops (excluding nothing; len(Uops))
 
 	// Issue-shape precomputation for the timing model.
-	Entities   int     // issue entities (fused pair = 1)
-	FusedPairs int     // number of macro-op pairs
-	Depth      int     // dependence critical path in issue entities
-	CPE        float64 // cycles per entity = max(1/width-bound, depth/entities)
+	Entities   int       // issue entities (fused pair = 1)
+	FusedPairs int       // number of macro-op pairs
+	Depth      int       // dependence critical path in issue entities
+	CPE        float64   // cycles per entity = max(1/width-bound, depth/entities)
 	Meta       []UopMeta // per-micro-op entity shape for the fast timing replay
 
 	X86Bytes int // architected code bytes covered (x86-mode fetch span)
@@ -212,16 +212,6 @@ func (c *Cache) Contains(pc uint32) bool {
 	return ok
 }
 
-// NeedsFlush reports whether inserting a translation of the given
-// encoded size would flush the cache first. Owners that must
-// synchronize external state with a flush (the VMM drains its timing
-// pipeline, because a flush recycles translation storage the consumer
-// may still be reading) check this before calling Insert.
-func (c *Cache) NeedsFlush(size int) bool {
-	sz := uint32(size)
-	return sz != 0 && sz <= c.Capacity && c.next+sz > c.Base+c.Capacity
-}
-
 // Insert allocates space for the translation, assigns its code-cache
 // address, and registers it in the lookup table. The translation is
 // copied into the cache's arena, and the arena copy — the identity all
@@ -261,9 +251,9 @@ func (c *Cache) Insert(t *Translation) (inserted *Translation, flushed bool, err
 // The arena is then recycled: every dead translation's generation is
 // bumped (invalidating any ChainRef recorded against it) and its slab
 // aliases dropped before the storage is handed back for reuse. Owners
-// holding derived references — the VMM's jump-TLB entries and, in
-// pipelined mode, in-flight trace records — must discard them before
-// the next dispatch (see VM.onBBTFlush / onSBTFlush).
+// holding derived references — the VMM's jump-TLB entries — must
+// discard them before the next dispatch (see VM.onBBTFlush /
+// onSBTFlush).
 func (c *Cache) Flush() {
 	for _, t := range c.table {
 		t.Unchain()

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 
 	"codesignvm/internal/machine"
@@ -85,90 +84,6 @@ func TestParallelReportsMatchSequential(t *testing.T) {
 		if got != want {
 			t.Errorf("%s: parallel report differs from sequential\n--- sequential ---\n%s--- parallel ---\n%s", h.name, want, got)
 		}
-	}
-}
-
-// TestPipelinedReportsMatchSequential checks the execute/timing
-// pipeline's determinism contract at the report level: every figure
-// harness must produce byte-identical output whether each run's timing
-// work happens inline (NoPipeline) or on the decoupled consumer
-// goroutine. FreshRuns keeps both arms actually simulating.
-func TestPipelinedReportsMatchSequential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation")
-	}
-	// Single-proc hosts fall back to sequential execution; force two
-	// procs so the pipelined arm actually pipelines.
-	if old := runtime.GOMAXPROCS(0); old < 2 {
-		runtime.GOMAXPROCS(2)
-		t.Cleanup(func() { runtime.GOMAXPROCS(old) })
-	}
-	seq := detOpt()
-	seq.NoPipeline = true
-	pipe := detOpt()
-
-	harnesses := []struct {
-		name string
-		run  func(Options) (string, error)
-	}{
-		{"fig2", func(o Options) (string, error) {
-			r, err := Fig2(o)
-			if err != nil {
-				return "", err
-			}
-			return FormatStartup(r, "fig2"), nil
-		}},
-		{"fig3", func(o Options) (string, error) {
-			r, err := Fig3(o)
-			if err != nil {
-				return "", err
-			}
-			return FormatFig3(r), nil
-		}},
-		{"fig8", func(o Options) (string, error) {
-			r, err := Fig8(o)
-			if err != nil {
-				return "", err
-			}
-			return FormatStartup(r, "fig8"), nil
-		}},
-		{"fig9", func(o Options) (string, error) {
-			r, err := Fig9(o)
-			if err != nil {
-				return "", err
-			}
-			return FormatFig9(r), nil
-		}},
-		{"fig10", func(o Options) (string, error) {
-			r, err := Fig10(o)
-			if err != nil {
-				return "", err
-			}
-			return FormatFig10(r), nil
-		}},
-		{"fig11", func(o Options) (string, error) {
-			r, err := Fig11(o)
-			if err != nil {
-				return "", err
-			}
-			return FormatFig11(r), nil
-		}},
-	}
-	for _, h := range harnesses {
-		h := h
-		t.Run(h.name, func(t *testing.T) {
-			want, err := h.run(seq)
-			if err != nil {
-				t.Fatalf("%s sequential: %v", h.name, err)
-			}
-			got, err := h.run(pipe)
-			if err != nil {
-				t.Fatalf("%s pipelined: %v", h.name, err)
-			}
-			if got != want {
-				t.Errorf("%s: pipelined report differs from sequential\n--- sequential ---\n%s--- pipelined ---\n%s", h.name, want, got)
-			}
-		})
 	}
 }
 

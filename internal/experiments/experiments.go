@@ -32,17 +32,6 @@ type Options struct {
 	// inline on the calling goroutine. Reports are byte-identical
 	// either way; parallelism only changes wall-clock time.
 	Sequential bool
-	// NoPipeline disables the per-run execute/timing pipeline: each
-	// simulation runs single-goroutine (the reference mode). Reports
-	// are byte-identical either way (vmm.Config.Pipeline); pipelining
-	// only changes wall-clock time.
-	NoPipeline bool
-	// NoThreadedDispatch disables the direct-threaded dispatch fast
-	// path in every simulated VM (vmm.Config.NoThreadedDispatch).
-	// Reports are byte-identical either way — both dispatchers follow
-	// exactly the same chains; the toggle exists for A/B measurement
-	// and the golden determinism sweep.
-	NoThreadedDispatch bool
 	// FreshRuns bypasses the process-wide simulation-result cache
 	// (the per-(config, app, scale, budget) memoization), forcing
 	// every run to simulate. Used by benchmarks measuring simulation
@@ -92,8 +81,6 @@ type Options struct {
 // options.
 func (o Options) configFor(m machine.Model) vmm.Config {
 	cfg := machine.Config(m)
-	cfg.Pipeline = !o.NoPipeline
-	cfg.NoThreadedDispatch = o.NoThreadedDispatch
 	if o.HotThreshold > 0 {
 		if cfg.Strategy == vmm.StratInterp {
 			t := o.HotThreshold * 25 / 8000
@@ -131,12 +118,6 @@ func (o Options) withDefaults() Options {
 // append in completion order — to keep reductions deterministic.
 func (o Options) forEachTask(n int, fn func(i int) error) error {
 	workers := runtime.GOMAXPROCS(0)
-	if !o.NoPipeline && workers > 1 {
-		// Pipelined runs occupy two goroutines each (producer +
-		// timing consumer); halve the worker count so the grid and the
-		// per-run pipelines share GOMAXPROCS instead of oversubscribing.
-		workers = (workers + 1) / 2
-	}
 	if workers > n {
 		workers = n
 	}

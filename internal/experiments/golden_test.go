@@ -1,7 +1,8 @@
 package experiments
 
 import (
-	"runtime"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -72,52 +73,86 @@ var figureHarnesses = []struct {
 	}},
 }
 
-// TestGoldenReportsAcrossDispatchModes is the standing determinism
-// contract for the host-side speed machinery: every figure report must
-// be byte-identical across direct-threaded dispatch on/off and
-// sequential/pipelined execution — all four combinations. The golden
-// arm is the most conservative configuration (no threaded dispatch, no
-// pipeline); the other three must reproduce it exactly. FreshRuns
-// keeps every arm actually simulating instead of sharing cached
-// results, and the test forces GOMAXPROCS>=2 so the pipelined arms
-// really pipeline; scripts/ci.sh runs it under -race.
-func TestGoldenReportsAcrossDispatchModes(t *testing.T) {
+// checkGolden diffs one rendered report against its committed bytes
+// under testdata/golden.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", "golden", name+".txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s report differs from testdata/golden/%s.txt\n--- want ---\n%s--- got ---\n%s",
+			name, name, want, got)
+	}
+}
+
+// TestGoldenReports is the standing determinism contract: every
+// figure report at detOpt, the phases report, and the warm-start report
+// rebuilt from cleared in-process caches must match the committed bytes
+// under testdata/golden exactly. FreshRuns keeps every harness actually
+// simulating; scripts/ci.sh runs this under -race. A change that alters
+// a report on purpose regenerates the file and says so.
+func TestGoldenReports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
-	if old := runtime.GOMAXPROCS(0); old < 2 {
-		runtime.GOMAXPROCS(2)
-		t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	for _, h := range figureHarnesses {
+		t.Run(h.name, func(t *testing.T) {
+			got, err := h.run(detOpt())
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, h.name, got)
+		})
 	}
 
-	arms := []struct {
-		name               string
-		noThreaded, noPipe bool
-	}{
-		{"unthreaded-sequential", true, true}, // golden arm
-		{"threaded-sequential", false, true},
-		{"unthreaded-pipelined", true, false},
-		{"threaded-pipelined", false, false},
+	// The phases report attributes every cycle; its profiler state
+	// rides the whole timing path.
+	t.Run("phases", func(t *testing.T) {
+		resetSnapCacheForTest()
+		resetRunCacheForTest()
+		o := detOpt()
+		o.Apps = []string{"Word", "Winzip"}
+		r, err := PhasesFig(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, "phases", FormatPhases(r))
+	})
+
+	// Warm start one level deeper than its harness above: with the
+	// caches cleared, the snapshot itself is rebuilt (cold producer run
+	// → Cache.Save → ParseSnapshot) before the arms restore from it, so
+	// the snapshot bytes are pinned too.
+	t.Run("warmstart-rebuild", func(t *testing.T) {
+		resetSnapCacheForTest()
+		resetRunCacheForTest()
+		r, err := WarmStartFig(detOpt())
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, "warmstart", FormatWarmStart(r))
+	})
+}
+
+// TestGoldenReportsSequential pins the same committed bytes with the
+// (app × model) grid run one task at a time, so the golden files hold
+// for both grid schedules, not only for whichever one TestGoldenReports
+// happens to take on the host's CPU count.
+func TestGoldenReportsSequential(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
 	}
 	for _, h := range figureHarnesses {
-		var golden string
-		for i, arm := range arms {
+		t.Run(h.name, func(t *testing.T) {
 			o := detOpt()
-			o.Sequential = true // grid parallelism has its own test
-			o.NoThreadedDispatch = arm.noThreaded
-			o.NoPipeline = arm.noPipe
+			o.Sequential = true
 			got, err := h.run(o)
 			if err != nil {
-				t.Fatalf("%s/%s: %v", h.name, arm.name, err)
+				t.Fatal(err)
 			}
-			if i == 0 {
-				golden = got
-				continue
-			}
-			if got != golden {
-				t.Errorf("%s: %s report differs from %s\n--- %s ---\n%s--- %s ---\n%s",
-					h.name, arm.name, arms[0].name, arms[0].name, golden, arm.name, got)
-			}
-		}
+			checkGolden(t, h.name, got)
+		})
 	}
 }

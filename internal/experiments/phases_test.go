@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 
@@ -29,54 +28,6 @@ func TestDefaultAttribSpec(t *testing.T) {
 	for i, m := range tiny.Milestones {
 		if m == 0 || (i > 0 && m <= tiny.Milestones[i-1]) {
 			t.Fatalf("tiny-budget milestones %v malformed", tiny.Milestones)
-		}
-	}
-}
-
-// TestGoldenPhasesAcrossHostModes is the phases figure's determinism
-// contract: the report — shares, milestones, every digit — must be
-// byte-identical across the four host execution modes (threaded ×
-// pipelined), with the in-process caches cleared so every mode
-// simulates for itself. The profiler is consumer-owned state, so this
-// exercises the whole attribution chain under both dispatch paths.
-func TestGoldenPhasesAcrossHostModes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation")
-	}
-	if old := runtime.GOMAXPROCS(0); old < 2 {
-		runtime.GOMAXPROCS(2)
-		t.Cleanup(func() { runtime.GOMAXPROCS(old) })
-	}
-	arms := []struct {
-		name               string
-		noThreaded, noPipe bool
-	}{
-		{"unthreaded-sequential", true, true}, // golden arm
-		{"threaded-sequential", false, true},
-		{"unthreaded-pipelined", true, false},
-		{"threaded-pipelined", false, false},
-	}
-	var golden string
-	for i, arm := range arms {
-		resetSnapCacheForTest()
-		resetRunCacheForTest()
-		o := detOpt()
-		o.Apps = []string{"Word", "Winzip"}
-		o.Sequential = true
-		o.NoThreadedDispatch = arm.noThreaded
-		o.NoPipeline = arm.noPipe
-		r, err := PhasesFig(o)
-		if err != nil {
-			t.Fatalf("%s: %v", arm.name, err)
-		}
-		got := FormatPhases(r)
-		if i == 0 {
-			golden = got
-			continue
-		}
-		if got != golden {
-			t.Errorf("%s report differs from %s\n--- %s ---\n%s--- %s ---\n%s",
-				arm.name, arms[0].name, arms[0].name, golden, arm.name, got)
 		}
 	}
 }

@@ -13,10 +13,7 @@ import (
 
 // runKey identifies one deterministic simulation: the full machine
 // configuration plus the workload identity and instruction budget.
-// vmm.Config is a flat value type, so the key is comparable. The
-// host-side execution modes (Pipeline, NoThreadedDispatch) are
-// normalized out: all of them produce byte-identical results, so they
-// share a slot.
+// vmm.Config is a flat value type, so the key is comparable.
 type runKey struct {
 	cfg    vmm.Config
 	app    string
@@ -26,8 +23,6 @@ type runKey struct {
 }
 
 func newRunKey(cfg vmm.Config, app string, scale int, instrs uint64, attribKey string) runKey {
-	cfg.Pipeline = false
-	cfg.NoThreadedDispatch = false
 	return runKey{cfg, app, scale, instrs, attribKey}
 }
 

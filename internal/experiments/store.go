@@ -177,16 +177,14 @@ func (o Options) ctx() context.Context {
 }
 
 // runFileKey derives the content-hash key of one simulation. The
-// host-side execution modes (Pipeline, NoThreadedDispatch) are
-// normalized out: all of them produce byte-identical results, so they
-// share one store entry. attribKey is the canonical attribution-spec
+// unread, deprecated Config.Pipeline is zeroed so a caller that still
+// sets it shares the store entry. attribKey is the canonical attribution-spec
 // string ("" when attribution is off): attribution never changes the
 // simulated cycles, but an attributing result carries extra payload a
 // plain request must not be served (and vice versa), so the two key
 // separately.
 func runFileKey(cfg vmm.Config, app string, scale int, instrs uint64, attribKey string) string {
 	cfg.Pipeline = false
-	cfg.NoThreadedDispatch = false
 	h := sha256.New()
 	fmt.Fprintf(h, "v%d\n%#v\n%s\n%d\n%d\n%s\n", runSchema, cfg, app, scale, instrs, attribKey)
 	return hex.EncodeToString(h.Sum(nil))[:32]

@@ -215,9 +215,9 @@ func TestRunStoreLoadQuarantinesCorruption(t *testing.T) {
 	}
 }
 
-// TestRunStoreKeyNormalization: the pipeline flag is a host-side
-// execution mode with byte-identical results, so it must not split
-// store keys — while real configuration changes must.
+// TestRunStoreKeyNormalization: the deprecated Pipeline field changes
+// nothing the simulator does, so it must not split store keys — while
+// real configuration changes must.
 func TestRunStoreKeyNormalization(t *testing.T) {
 	opt := detOpt().withDefaults()
 	cfg := opt.configFor(machine.VMSoft)

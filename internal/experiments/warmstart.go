@@ -31,9 +31,7 @@ import (
 // run caches so the figure's cold arm never re-simulates it.
 
 // snapKey identifies one snapshot: the cold producer configuration
-// plus workload identity and budget. Host-side execution modes are
-// normalized out, as in runKey: they cannot affect the simulated
-// translations, so all host modes share one snapshot.
+// plus workload identity and budget.
 type snapKey struct {
 	cfg    vmm.Config
 	app    string
@@ -42,8 +40,6 @@ type snapKey struct {
 }
 
 func newSnapKey(cfg vmm.Config, app string, scale int, instrs uint64) snapKey {
-	cfg.Pipeline = false
-	cfg.NoThreadedDispatch = false
 	return snapKey{cfg, app, scale, instrs}
 }
 
@@ -72,8 +68,6 @@ func resetSnapCacheForTest() {
 // "ccvm2" prefix separates the namespace from run-result keys (the
 // two kinds share the store directory and its lock protocol).
 func snapFileKey(cfg vmm.Config, app string, scale int, instrs uint64) string {
-	cfg.Pipeline = false
-	cfg.NoThreadedDispatch = false
 	h := sha256.New()
 	fmt.Fprintf(h, "ccvm2 v%d\n%#v\n%s\n%d\n%d\n", runSchema, cfg, app, scale, instrs)
 	return hex.EncodeToString(h.Sum(nil))[:32]

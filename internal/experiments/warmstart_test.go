@@ -4,7 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"codesignvm/internal/codecache"
@@ -21,54 +20,6 @@ func codecacheParse(data []byte) (int, error) {
 		return 0, err
 	}
 	return snap.Sections, nil
-}
-
-// TestGoldenWarmStartRebuildAcrossHostModes is the warm-start
-// determinism contract one level deeper than the figure-harness sweep:
-// the in-process caches are cleared before every arm, so each host
-// mode rebuilds the snapshot itself (cold producer run → Cache.Save →
-// ParseSnapshot) before restoring from it. The whole chain — snapshot
-// bytes included — must be host-mode invariant for the reports to
-// match.
-func TestGoldenWarmStartRebuildAcrossHostModes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation")
-	}
-	if old := runtime.GOMAXPROCS(0); old < 2 {
-		runtime.GOMAXPROCS(2)
-		t.Cleanup(func() { runtime.GOMAXPROCS(old) })
-	}
-	arms := []struct {
-		name               string
-		noThreaded, noPipe bool
-	}{
-		{"unthreaded-sequential", true, true}, // golden arm
-		{"threaded-sequential", false, true},
-		{"unthreaded-pipelined", true, false},
-		{"threaded-pipelined", false, false},
-	}
-	var golden string
-	for i, arm := range arms {
-		resetSnapCacheForTest()
-		resetRunCacheForTest()
-		o := detOpt()
-		o.Sequential = true
-		o.NoThreadedDispatch = arm.noThreaded
-		o.NoPipeline = arm.noPipe
-		r, err := WarmStartFig(o)
-		if err != nil {
-			t.Fatalf("%s: %v", arm.name, err)
-		}
-		got := FormatWarmStart(r)
-		if i == 0 {
-			golden = got
-			continue
-		}
-		if got != golden {
-			t.Errorf("%s report differs from %s\n--- %s ---\n%s--- %s ---\n%s",
-				arm.name, arms[0].name, arms[0].name, golden, arm.name, got)
-		}
-	}
 }
 
 // TestWarmSnapshotStoreReuse: a snapshot built by one process is

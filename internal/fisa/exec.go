@@ -34,10 +34,8 @@ func (n *NativeState) StoreArch(st *x86.State) {
 // MemProbe observes data-memory accesses made by translated code.
 // Probes are Exec's record-emission hooks: calls arrive in exact
 // execution order on the executing goroutine's critical path, so
-// implementations must be cheap and allocation-free. The sequential
-// timing model implements it to drive the cache hierarchy directly;
-// the decoupled execute/timing pipeline installs a probe that enqueues
-// trace records for the timing consumer instead.
+// implementations must be cheap and allocation-free. The timing model
+// implements it to drive the cache hierarchy directly.
 type MemProbe interface {
 	OnLoad(addr uint32, size uint8)
 	OnStore(addr uint32, size uint8)
@@ -46,32 +44,9 @@ type MemProbe interface {
 // BranchProbe observes conditional-branch outcomes inside translations
 // (UBR micro-ops); the timing model implements it to train the direction
 // predictor and charge misprediction stalls. The same ordering and cost
-// contract as MemProbe applies: outcomes arrive in execution order and
-// may be deferred through a trace ring without changing what they train.
+// contract as MemProbe applies: outcomes arrive in execution order.
 type BranchProbe interface {
 	OnBranch(pc uint32, taken bool)
-}
-
-// Event kinds recorded in Env.Events.
-const (
-	EvLoad uint8 = iota
-	EvStore
-	EvBr      // conditional branch, not taken
-	EvBrTaken // conditional branch, taken
-)
-
-// Event is one deferred probe observation. When Env.Events is non-nil,
-// Exec appends an Event per data access and conditional branch instead
-// of calling the Probe/Branch interfaces, and the caller replays the
-// buffer after the linear pass completes. Replay preserves the exact
-// relative order of observations, so any consumer state (cache LRU,
-// predictor history) evolves identically to the interface path; the
-// only requirement is that the caller replays before charging timing
-// for the segment.
-type Event struct {
-	Addr uint32 // data address (loads/stores) or branch x86 PC (branches)
-	Kind uint8
-	Size uint8 // access width in bytes (loads/stores only)
 }
 
 // StopKind says why translation execution stopped.
@@ -99,18 +74,11 @@ type ExecStats struct {
 }
 
 // Env bundles the machine context translations execute against.
-//
-// Events, when non-nil (and the corresponding probe nil), puts Exec in
-// deferred-observation mode: an Event is appended per observation
-// instead of a probe call (including branch outcomes even when Branch
-// is nil — the replayer filters). The slice is grown with append, so
-// the caller must read it back from Env after Exec returns.
 type Env struct {
 	St     *NativeState
 	Mem    *x86.Memory
-	Probe  MemProbe    // optional; takes precedence over Events
-	Branch BranchProbe // optional; takes precedence over Events
-	Events []Event     // optional deferred-observation buffer
+	Probe  MemProbe    // optional
+	Branch BranchProbe // optional
 }
 
 func WriteMerged(st *NativeState, dst Reg, v uint32, w uint8) {
@@ -316,8 +284,6 @@ func Exec(env *Env, uops []MicroOp, start int, out *ExecStats) (StopKind, int, e
 			stats.Loads++
 			if env.Probe != nil {
 				env.Probe.OnLoad(addr, u.MemWidth())
-			} else if env.Events != nil {
-				env.Events = append(env.Events, Event{Addr: addr, Kind: EvLoad, Size: u.MemWidth()})
 			}
 			switch u.Op {
 			case ULD:
@@ -337,8 +303,6 @@ func Exec(env *Env, uops []MicroOp, start int, out *ExecStats) (StopKind, int, e
 			stats.Stores++
 			if env.Probe != nil {
 				env.Probe.OnStore(addr, u.MemWidth())
-			} else if env.Events != nil {
-				env.Events = append(env.Events, Event{Addr: addr, Kind: EvStore, Size: u.MemWidth()})
 			}
 			switch u.Op {
 			case UST:
@@ -376,12 +340,6 @@ func Exec(env *Env, uops []MicroOp, start int, out *ExecStats) (StopKind, int, e
 			taken := u.Cond.Holds(st.Flags)
 			if env.Branch != nil {
 				env.Branch.OnBranch(u.X86PC, taken)
-			} else if env.Events != nil {
-				k := EvBr
-				if taken {
-					k = EvBrTaken
-				}
-				env.Events = append(env.Events, Event{Addr: u.X86PC, Kind: k})
 			}
 			if taken {
 				stats.TakenBranchIdx = i

@@ -11,12 +11,10 @@
 // disabled state; every VMM hook is guarded by a nil check, so the
 // disabled cost is one predictable branch per site.
 //
-// Determinism: charges are applied by the timing consumer in replay
-// order, which is identical across threaded/unthreaded dispatch and
-// sequential/pipelined modes (DESIGN.md §6), so attribution snapshots —
-// and everything derived from them (the phases figure, flamegraphs,
-// OpenMetrics counters) — are byte-identical across all four host
-// modes. Finish reconciles floating-point residue so the per-category
+// Determinism: charges are applied inline by the timing model in
+// execution order, so attribution snapshots — and everything derived
+// from them (the phases figure, flamegraphs, OpenMetrics counters) —
+// are reproducible byte for byte. Finish reconciles floating-point residue so the per-category
 // cycles sum *exactly* (bit-for-bit) to the run's total simulated
 // cycles. DESIGN.md §11 is the design note; OBSERVABILITY.md "Cycle
 // attribution" documents the taxonomy and the user-facing surfaces.
@@ -156,8 +154,8 @@ func (s Spec) Key() string {
 }
 
 // Profile accumulates one run's attribution. All mutating methods are
-// called from the run's timing consumer only (single-goroutine, like
-// the timing engine itself); Finish returns the immutable snapshot.
+// called from the run's timing model only (single-goroutine, like the
+// timing engine itself); Finish returns the immutable snapshot.
 type Profile struct {
 	spec Spec
 
@@ -308,8 +306,8 @@ type Snapshot struct {
 // float64 sum can differ from the run's total by accumulated rounding;
 // Finish folds that residue into the largest category (ties broken by
 // lowest index), iterating until the fixed-order sum equals the total
-// bit-for-bit. The procedure is deterministic, so snapshots stay
-// byte-identical across host modes.
+// bit-for-bit. The procedure is deterministic, so snapshots are
+// reproducible byte for byte.
 func (p *Profile) Finish(totalCycles float64) *Snapshot {
 	s := &Snapshot{
 		Cat:         p.cat,

@@ -33,9 +33,7 @@
 // The cardinal rule, enforced by tests in internal/vmm: observability
 // is purely *observational*. No emission site reads back metric or
 // event state to make a simulation decision, so instrumented and
-// uninstrumented runs produce byte-identical reported results, and the
-// sequential and pipelined execution modes emit identical lifecycle
-// event sequences (host-side ring events excepted).
+// uninstrumented runs produce byte-identical reported results.
 //
 // OBSERVABILITY.md at the repository root documents every metric and
 // event kind — name, unit, emission site, and cost when enabled and

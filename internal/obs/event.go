@@ -48,13 +48,9 @@ const (
 	// jtlbEpochInterval slow-path dispatch lookups: a = cumulative
 	// hits, b = cumulative misses.
 	EvJTLBEpoch
-	// EvRingStall marks the execute/timing pipeline producer finding
-	// the trace ring full (sampled; see OBSERVABILITY.md):
-	// a = cumulative full-ring waits.
+	// EvRingStall and EvRingDrain are reserved and never emitted; the
+	// slots stay so later kinds keep their numbers and JSONL names.
 	EvRingStall
-	// EvRingDrain is a pipeline drain point being reached: a = reason
-	// (0 SBT promotion, 1 BBT flush, 2 SBT flush, 3 shadow eviction),
-	// b = trace records pending when the drain began.
 	EvRingDrain
 	// EvStoreHit / EvStoreMiss are persistent run-store lookups in the
 	// experiment harnesses (process-level events, tagged with the run).
@@ -155,13 +151,10 @@ func (k EventKind) String() string {
 // Events are plain values — sinks receive them by value and emission
 // allocates nothing beyond what the sink itself does.
 //
-// T is the emitting run's own clock: the producer's retired-x86-
-// instruction count at emission. Instructions, not cycles, because
-// every VM emission site is on the functional (producer) side of the
-// execute/timing pipeline, where the cycle count does not exist yet —
-// and the instruction clock is identical between the sequential and
-// pipelined modes, so timestamps preserve the cross-mode determinism
-// contract. Process-level events (store hits/misses) carry T = 0.
+// T is the emitting run's own clock: the retired-x86-instruction count
+// at emission. Instructions, not cycles, because every VM emission site
+// is on the functional path, between timing charges. Process-level
+// events (store hits/misses) carry T = 0.
 type Event struct {
 	Seq  uint64
 	T    uint64

@@ -172,7 +172,7 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]*entry)}
 }
 
-func (r *Registry) lookup(name, unit, labels string, kind Kind) *entry {
+func (r *Registry) lookup(name, unit, labels string, kind Kind, bounds []uint64) *entry {
 	key := name
 	if labels != "" {
 		key = name + "\xff" + labels
@@ -185,7 +185,21 @@ func (r *Registry) lookup(name, unit, labels string, kind Kind) *entry {
 		}
 		return e
 	}
+	// The metric is built under the lock, before the entry becomes
+	// reachable, so concurrent registrations of one name and Snapshot
+	// never see an entry without its metric.
 	e := &entry{name: name, unit: unit, labels: labels, kind: kind}
+	switch kind {
+	case KindCounter:
+		e.c = &Counter{}
+	case KindGauge:
+		e.g = &Gauge{}
+	case KindHistogram:
+		e.h = &Histogram{
+			bounds: append([]uint64(nil), bounds...),
+			counts: make([]atomic.Uint64, len(bounds)+1),
+		}
+	}
 	r.byName[key] = e
 	r.ents = append(r.ents, e)
 	return e
@@ -201,34 +215,19 @@ func (r *Registry) Counter(name, unit string) *Counter {
 // (build them with Label). Members of a family are distinct metrics;
 // OpenMetrics output renders them as `name_total{labels} value`.
 func (r *Registry) CounterL(name, unit, labels string) *Counter {
-	e := r.lookup(name, unit, labels, KindCounter)
-	if e.c == nil {
-		e.c = &Counter{}
-	}
-	return e.c
+	return r.lookup(name, unit, labels, KindCounter, nil).c
 }
 
 // Gauge registers (or returns) a gauge.
 func (r *Registry) Gauge(name, unit string) *Gauge {
-	e := r.lookup(name, unit, "", KindGauge)
-	if e.g == nil {
-		e.g = &Gauge{}
-	}
-	return e.g
+	return r.lookup(name, unit, "", KindGauge, nil).g
 }
 
 // Histogram registers (or returns) a histogram with the given fixed
 // bucket upper bounds (strictly increasing; an implicit +inf bucket is
 // appended). The layout of an existing histogram is kept.
 func (r *Registry) Histogram(name, unit string, bounds []uint64) *Histogram {
-	e := r.lookup(name, unit, "", KindHistogram)
-	if e.h == nil {
-		e.h = &Histogram{
-			bounds: append([]uint64(nil), bounds...),
-			counts: make([]atomic.Uint64, len(bounds)+1),
-		}
-	}
-	return e.h
+	return r.lookup(name, unit, "", KindHistogram, bounds).h
 }
 
 // Snapshot copies every metric's current value, in registration order.

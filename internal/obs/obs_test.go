@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -25,6 +26,38 @@ func TestRegistryIdempotentRegistration(t *testing.T) {
 		}
 	}()
 	r.Gauge("a", "things")
+}
+
+// TestRegistryConcurrentRegistration: goroutines registering the same
+// names while another snapshots must all get one handle per name and
+// never a half-built entry (the experiment grid's runs share a process
+// registry). Run under -race.
+func TestRegistryConcurrentRegistration(t *testing.T) {
+	r := NewRegistry()
+	const n = 8
+	counters := make([]*Counter, n)
+	hists := make([]*Histogram, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			counters[i] = r.Counter("runs.started", "runs")
+			counters[i].Inc()
+			hists[i] = r.Histogram("lat", "ns", []uint64{1, 10})
+			r.Gauge("depth", "jobs").Set(1)
+			r.Snapshot()
+		}(i)
+	}
+	wg.Wait()
+	for i := 1; i < n; i++ {
+		if counters[i] != counters[0] || hists[i] != hists[0] {
+			t.Fatal("concurrent registration returned different handles for one name")
+		}
+	}
+	if got := counters[0].Value(); got != n {
+		t.Fatalf("counter = %d, want %d", got, n)
+	}
 }
 
 func TestSnapshotValuesAndOrder(t *testing.T) {

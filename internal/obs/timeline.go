@@ -13,8 +13,7 @@ import (
 // boundaries, from which per-interval startup curves (interval IPC,
 // cycles by activity, instructions by emulation stage, code-cache
 // occupancy) are derived at export time. The VM's sampler appends
-// slices on the timing (consumer) side of the execute/timing pipeline,
-// so a pipelined run produces exactly the sequential run's timeline.
+// slices from the Run loop, right after each block's timing charge.
 //
 // Memory is bounded by construction: the slice array is allocated once
 // at NewTimeline and never grows. When a run outlives its capacity the

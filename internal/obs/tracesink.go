@@ -12,12 +12,9 @@ import (
 // in Perfetto (ui.perfetto.dev) or chrome://tracing.
 //
 // The trace clock is the emitting run's own time base, Event.T: one
-// trace "microsecond" is one retired x86 instruction. Instructions
-// rather than simulated cycles because every VM event is emitted on the
-// functional (producer) side of the execute/timing pipeline, where the
-// cycle count does not exist yet; the instruction clock is identical
-// between the sequential and pipelined modes, so the exported trace is
-// byte-identical across modes (tested in internal/vmm).
+// trace "microsecond" is one retired x86 instruction: every VM event
+// is emitted on the functional path, where the instruction count is
+// exact at the emission site.
 //
 // Layout: one process (pid 1); each run tag gets two lanes in
 // first-seen order — a main lane carrying the run span (run-start/
@@ -25,15 +22,9 @@ import (
 // shadow-evict, store-hit/miss) and the jtlb counter track, and an
 // "xlate" lane carrying translation episodes (bbt-translate,
 // sbt-promote) as complete "X" spans whose duration is the episode's
-// x86 instruction count. Producer emission happens after the episode
+// x86 instruction count. Emission happens after the episode
 // at one instant, so episode spans are laid back-to-back from a
 // per-lane cursor when their nominal times would overlap.
-//
-// Host-pipeline events (ring-stall, ring-drain) are excluded by
-// default: they describe the simulator's own execution mode, exist
-// only in pipelined runs, and would break the cross-mode byte-identity
-// of the export. Set IncludeHostEvents before the first Emit to map
-// them as instants on the main lane.
 //
 // Concurrent runs (the experiment grid) share the sink; events
 // interleave in arrival order but land on their own tag's lanes.
@@ -41,10 +32,6 @@ import (
 // Call Flush (or Close) when done: it appends the thread-name metadata
 // and the closing brackets — an unflushed trace is not valid JSON.
 type TraceSink struct {
-	// IncludeHostEvents maps ring-stall/ring-drain events too.
-	// Set before the first Emit; do not change afterwards.
-	IncludeHostEvents bool
-
 	mu     sync.Mutex
 	w      *bufio.Writer
 	buf    []byte
@@ -138,11 +125,6 @@ func argsUint(b []byte, kvs ...kv) []byte {
 
 // Emit implements Sink.
 func (s *TraceSink) Emit(e Event) {
-	if e.Kind == EvRingStall || e.Kind == EvRingDrain {
-		if !s.IncludeHostEvents {
-			return
-		}
-	}
 	info := &kindInfo[e.Kind]
 	s.mu.Lock()
 	defer s.mu.Unlock()

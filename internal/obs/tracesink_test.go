@@ -56,7 +56,6 @@ func TestTraceSinkShapes(t *testing.T) {
 	r.EmitAt(EvSBTPromote, 0x1000, 40, 20, 35, 120)
 	r.EmitAt(EvChain, 0x2000, 60, 0x1000, 0x2000, 0)
 	r.EmitAt(EvJTLBEpoch, 0, 80, 900, 100, 0)
-	r.EmitAt(EvRingStall, 0, 90, 3, 0, 0) // host event: dropped by default
 	r.EmitAt(EvRunEnd, 0, 100, 100, 250, 0)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
@@ -90,11 +89,6 @@ func TestTraceSinkShapes(t *testing.T) {
 	if xs[0].Tid == byPhase["B"][0].Tid {
 		t.Fatal("translation episodes share the main lane")
 	}
-	for _, e := range evs {
-		if e.Name == "ring-stall" {
-			t.Fatal("host event exported despite IncludeHostEvents=false")
-		}
-	}
 	if len(byPhase["C"]) != 1 || byPhase["C"][0].Name != "jtlb" {
 		t.Fatalf("jtlb counter track wrong: %+v", byPhase["C"])
 	}
@@ -108,22 +102,6 @@ func TestTraceSinkShapes(t *testing.T) {
 	}
 	if names[byPhase["B"][0].Tid] != "VM.soft/Word" || names[xs[0].Tid] != "VM.soft/Word xlate" {
 		t.Fatalf("lane names wrong: %v", names)
-	}
-}
-
-func TestTraceSinkIncludeHostEvents(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewTraceSink(&buf)
-	s.IncludeHostEvents = true
-	o := NewObserver(s)
-	r := o.NewRun("m/a")
-	r.EmitAt(EvRingStall, 0, 5, 1, 0, 0)
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	evs := decodeTrace(t, &buf)
-	if len(evs) != 3 || evs[0].Name != "ring-stall" {
-		t.Fatalf("host event not exported: %+v", evs)
 	}
 }
 

@@ -64,11 +64,8 @@ var DefaultParams = Params{
 //
 // The engine is single-goroutine state: every entry point (ChargeBlock,
 // OnLoad/OnStore, NoteBranch, AdvanceClock, ...) mutates the clock,
-// predictor tables or cache LRU order. A sequential run drives it
-// inline from the dispatch loop; the decoupled execute/timing pipeline
-// drives the identical call sequence from its timing-consumer
-// goroutine, replaying the producer's trace in execution order, so the
-// engine cannot tell the two modes apart.
+// predictor tables or cache LRU order. The VM drives it inline from
+// the dispatch loop, in execution order.
 type Engine struct {
 	P      Params
 	Caches *cache.Hierarchy

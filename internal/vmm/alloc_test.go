@@ -10,7 +10,6 @@ func steadyStateVM(t testing.TB, indirect bool) (*VM, uint64) {
 	t.Helper()
 	code := buildHotLoop(indirect)
 	cfg := DefaultConfig(StratSoft)
-	cfg.Pipeline = false
 	cfg.NoStartupSamples = true
 	vm := New(cfg, freshMemory(code, 1), initState())
 	budget := uint64(500_000)

@@ -54,12 +54,9 @@ func buildHotLoop(indirect bool) []byte {
 // benchDispatch measures steady-state simulation of the hot loop,
 // advancing the same VM's instruction budget each iteration so every
 // op covers perInstrs freshly dispatched-and-executed instructions.
-// The sequential mode is pinned: at 2000 instructions per op the
-// pipelined mode would measure goroutine start/stop, not dispatch.
 func benchDispatch(b *testing.B, indirect bool) {
 	code := buildHotLoop(indirect)
 	cfg := DefaultConfig(StratSoft)
-	cfg.Pipeline = false
 	cfg.NoStartupSamples = true
 	vm := New(cfg, freshMemory(code, 1), initState())
 	budget := uint64(500_000)
@@ -90,27 +87,4 @@ func benchDispatch(b *testing.B, indirect bool) {
 func BenchmarkDispatchHot(b *testing.B) {
 	b.Run("chained", func(b *testing.B) { benchDispatch(b, false) })
 	b.Run("jtlb-hit", func(b *testing.B) { benchDispatch(b, true) })
-}
-
-// BenchmarkRunModes compares a whole cold-start run (translate +
-// execute + timing) sequentially vs pipelined on one core pair. This
-// is the intra-run speedup the decoupled consumer buys.
-func BenchmarkRunModes(b *testing.B) {
-	force2Procs(b)
-	code := buildHotLoop(true)
-	for _, mode := range []struct {
-		name     string
-		pipeline bool
-	}{{"sequential", false}, {"pipelined", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := DefaultConfig(StratSoft)
-				cfg.Pipeline = mode.pipeline
-				vm := New(cfg, freshMemory(code, 1), initState())
-				if _, err := vm.Run(3_000_000); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

@@ -22,13 +22,9 @@
 // shadow-table bookkeeping for the dual-mode frontend (shadow.go,
 // §4.1), and the software jump TLB sit on this path.
 //
-// Functional execution and timing are decoupled into a producer/consumer
-// pipeline over a fixed SPSC trace ring (pipeline.go, ring.go, trace.go;
-// DESIGN.md §7): the producer runs the functional simulation and emits
-// per-instruction trace records, the consumer advances the superscalar
-// timing model. Results are byte-identical to sequential execution; the
-// pipeline drains at the points where timing feeds back into functional
-// policy (SBT promotion, cache flushes, shadow eviction).
+// Functional execution and timing run inline on one goroutine
+// (DESIGN.md §7): each dispatched block executes and is charged against
+// the superscalar timing model (timing.go) before the next dispatch.
 //
 // # Observability
 //

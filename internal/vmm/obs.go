@@ -11,32 +11,16 @@ import (
 // Observability wiring. The VM carries an optional *vmObs holding the
 // run's recorder plus pre-registered metric handles, so every emission
 // site costs one nil check when observability is disabled and no
-// registry lookups when it is enabled. All sites are producer-side
-// (dispatch, translators, flush/eviction handlers), so event order is
-// the functional execution order and is identical between the
-// sequential and pipelined modes; the only pipelined-mode-specific
-// kinds are EvRingStall and EvRingDrain, which describe the host-side
-// pipeline itself. Nothing here is read back by the simulation:
-// observability is purely observational (see internal/obs).
+// registry lookups when it is enabled. All sites are on the functional
+// path (dispatch, translators, flush/eviction handlers), so event order
+// is the functional execution order. Nothing here is read back by the
+// simulation: observability is purely observational (see internal/obs).
 
 // jtlbEpochInterval is the slow-path dispatch-lookup count between
 // EvJTLBEpoch summaries. Per-lookup events would swamp a trace (the
 // JTLB fronts every non-chained dispatch), so hit/miss behaviour is
 // reported as periodic cumulative snapshots.
 const jtlbEpochInterval = 1 << 16
-
-// ringStallSample rate-limits EvRingStall events: the counter counts
-// every full-ring wait, but only every ringStallSample-th emits an
-// event (a saturated ring stalls continuously).
-const ringStallSample = 1024
-
-// Drain reasons (EvRingDrain payload A; keep OBSERVABILITY.md in sync).
-const (
-	drainSBTPromote = iota
-	drainBBTFlush
-	drainSBTFlush
-	drainShadowEvict
-)
 
 // vmObs caches the metric handles of one run's recorder.
 type vmObs struct {
@@ -51,12 +35,9 @@ type vmObs struct {
 	sbtFlushes      *obs.Counter
 	shadowEvicts    *obs.Counter
 	jtlbEpochs      *obs.Counter
-	ringStalls      *obs.Counter
-	ringDrains      *obs.Counter
 
-	bbtBlockX86  *obs.Histogram
-	sbtBlockX86  *obs.Histogram
-	drainPending *obs.Histogram
+	bbtBlockX86 *obs.Histogram
+	sbtBlockX86 *obs.Histogram
 
 	// Warm-start restore handles, registered lazily by obsRestoreInit
 	// (from VM.Restore): runs that never restore keep exactly the
@@ -71,18 +52,15 @@ type vmObs struct {
 // experiment-layer run caches and is hashed for the persistent store.
 //
 // When the recorder carries a Timeline (Observer.EnableTimeline), the
-// interval sampler is armed as well: the producer snapshots code-cache
-// occupancy into the sample records and the timing consumer captures a
-// slice at each interval boundary.
+// interval sampler is armed as well: the Run loop captures a slice at
+// each interval boundary.
 func (v *VM) SetObserver(rec *obs.Recorder) {
 	v.tl = rec.Timeline()
 	v.prof = rec.Attrib()
 	if v.tl != nil {
 		v.tlNext = v.tl.NextBoundary()
-		v.tlArmed = true
 	} else {
 		v.tlNext = math.Inf(1)
-		v.tlArmed = false
 	}
 	if rec == nil {
 		v.obs = nil
@@ -99,11 +77,8 @@ func (v *VM) SetObserver(rec *obs.Recorder) {
 		sbtFlushes:      reg.Counter("vm.cache.sbt.flushes", "flushes"),
 		shadowEvicts:    reg.Counter("vm.shadow.evictions", "blocks"),
 		jtlbEpochs:      reg.Counter("vm.jtlb.epochs", "epochs"),
-		ringStalls:      reg.Counter("vm.ring.stalls", "waits"),
-		ringDrains:      reg.Counter("vm.ring.drains", "drains"),
 		bbtBlockX86:     reg.Histogram("vm.bbt.block_x86", "x86 instrs", obs.BucketsPow2(2, 8)),
 		sbtBlockX86:     reg.Histogram("vm.sbt.superblock_x86", "x86 instrs", obs.BucketsPow2(4, 8)),
-		drainPending:    reg.Histogram("vm.ring.drain_pending", "records", obs.BucketsPow2(1, 13)),
 	}
 }
 
@@ -240,31 +215,4 @@ func (v *VM) obsJTLB() {
 	o := v.obs
 	o.jtlbEpochs.Inc()
 	o.rec.EmitAt(obs.EvJTLBEpoch, 0, v.instrs, v.res.JTLBHits, v.res.JTLBMisses, 0)
-}
-
-// obsDrain reports a pipeline drain point; called with the pipeline
-// live, before the wait, so pending reflects the consumer's backlog at
-// the moment the sync began.
-func (v *VM) obsDrain(reason int) {
-	o := v.obs
-	pending := v.ring.pending()
-	o.ringDrains.Inc()
-	o.drainPending.Observe(pending)
-	o.rec.EmitAt(obs.EvRingDrain, 0, v.instrs, uint64(reason), pending, 0)
-}
-
-// obsArmRing installs (or clears) the trace ring's stall hook for this
-// Run. Runs on the producer goroutine, like every stall.
-func (v *VM) obsArmRing() {
-	if v.obs == nil {
-		v.ring.onStall = nil
-		return
-	}
-	o := v.obs
-	v.ring.onStall = func(n uint64) {
-		o.ringStalls.Inc()
-		if n%ringStallSample == 1 {
-			o.rec.EmitAt(obs.EvRingStall, 0, v.instrs, n, 0, 0)
-		}
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 
 	"codesignvm/internal/bbt"
 	"codesignvm/internal/codecache"
@@ -22,12 +21,8 @@ import (
 
 // VM is one simulated machine executing one architected program.
 //
-// Execution is organized as a two-stage pipeline (see trace.go): the
-// producer side (Run/dispatch/execute and the translators) performs
-// functional work and emits trace records; the consumer side (apply and
-// the helpers it calls) performs all timing work. Fields are owned by
-// exactly one side while a pipelined Run is in flight; the Run epilogue
-// reads consumer state only after joining the consumer goroutine.
+// Functional work (Run/dispatch/execute and the translators) and timing
+// work (the timing.go methods) run inline on the calling goroutine.
 type VM struct {
 	Cfg Config
 	Mem *x86.Memory
@@ -46,8 +41,8 @@ type VM struct {
 
 	invalidated []*codecache.Translation // BBT blocks superseded by SBT
 
-	// Translator scratch (producer-owned). Translations are built into
-	// these reusable buffers and committed — copied into arena-backed
+	// Translator scratch. Translations are built into these reusable
+	// buffers and committed — copied into arena-backed
 	// storage — before they become reachable: Insert commits into the
 	// owning cache's arena; shadow blocks commit into shadowArena, a
 	// bounded never-reset arena (shadow blocks die individually via the
@@ -59,7 +54,7 @@ type VM struct {
 	metaBuf     []codecache.UopMeta
 	shadowArena *codecache.Arena
 
-	// Producer state.
+	// Functional state.
 	pc       uint32
 	halted   bool
 	prevT    *codecache.Translation
@@ -67,47 +62,28 @@ type VM struct {
 	inX86    bool   // current frontend mode (VM.fe)
 	instrs   uint64 // retired architected instructions (mirrors res.Instrs)
 
-	// evBuf is the deferred-observation buffer handed to fisa.Exec
-	// (Env.Events): loads, stores and branch outcomes accumulate here
-	// during the linear pass and are replayed in batch before the
-	// segment's timing charge. Producer-owned; reused every block.
-	evBuf []fisa.Event
-
-	// Pipeline plumbing (nil/false in sequential mode).
-	ring       *traceRing
-	events     *eventRing // bulk side-channel for observation batches
-	ringLen    int        // test hook; 0 selects defaultRingLen
-	pipeDone   chan struct{}
-	pipelining bool
-
-	// Observability (nil when disabled; see obs.go). Producer-owned:
-	// every emission site runs on the producer side of the pipeline.
+	// Observability (nil when disabled; see obs.go).
 	obs *vmObs
 
 	// Warm-start state (nil unless Restore attached a snapshot).
-	// Producer-owned: fault-ins happen inside dispatch.
+	// Fault-ins happen inside dispatch.
 	warm *warmState
 
-	// tlArmed is the producer-side interval-sampler switch: when set,
-	// emitSample gathers code-cache occupancy (producer-owned state)
-	// into the sample record for the consumer's timeline capture.
-	tlArmed bool
-
-	// Consumer state: the timing engine above plus everything below.
+	// Timing state: the timing engine above plus everything below.
 	xlt        *hwassist.XLTUnit
 	dmd        *hwassist.DualModeDecoder
 	cycles     float64
-	spanStart  float64 // attribution span opened by opBlockStart
+	spanStart  float64 // attribution span opened by blockStart
 	res        Result
 	nextSample float64
 
-	// Interval sampler (consumer side; see obs.go). tlNext is +Inf when
+	// Interval sampler (see obs.go). tlNext is +Inf when
 	// sampling is off, so the disabled cost on the timing path is the
 	// single float compare guarding appendTimeline at each call site.
 	tl     *obs.Timeline
 	tlNext float64
 
-	// Cycle-attribution profiler (consumer side; nil when disabled —
+	// Cycle-attribution profiler (nil when disabled —
 	// every hook below is guarded by the nil check, so the disabled
 	// cost is one predictable branch per timing site).
 	prof *attrib.Profile
@@ -136,8 +112,6 @@ func New(cfg Config, mem *x86.Memory, init *x86.State) *VM {
 		arch:       *init,
 		nextSample: 1000,
 		tlNext:     math.Inf(1),
-
-		evBuf: make([]fisa.Event, 0, 512),
 	}
 	if cfg.NoStartupSamples {
 		v.nextSample = math.Inf(1)
@@ -203,10 +177,9 @@ func (v *VM) Caches() (bbtC, sbtC *codecache.Cache) { return v.bbtCache, v.sbtCa
 // DetectorCount returns the profiled entry count for a region.
 func (v *VM) DetectorCount(pc uint32) uint64 { return v.det.Count(pc) }
 
-// OnBranch implements fisa.BranchProbe for the sequential mode (and the
-// opBranch apply case): conditional branches inside translations train
-// the predictor; misprediction bubbles are queued for the timing replay
-// in program order.
+// OnBranch implements fisa.BranchProbe: conditional branches inside
+// translations train the predictor; misprediction bubbles are queued for
+// the timing replay in program order.
 func (v *VM) OnBranch(pc uint32, taken bool) {
 	pen := 0.0
 	if v.eng.Pred.Cond(pc, taken) {
@@ -224,11 +197,11 @@ func (v *VM) setMode(x86mode bool) {
 }
 
 // charge advances the machine clock by cycles of software activity and
-// attributes them to cat. Consumer side. Callers that also feed the
-// attribution profiler make their own nil-guarded v.prof.Charge call:
-// a guarded call inside this body would push charge past the inlining
-// budget and cost every disabled-mode charge site a function call
-// (the <2% disabled-cost contract, OBSERVABILITY.md).
+// attributes them to cat. Callers that also feed the attribution
+// profiler go through chargeAt: a guarded call inside this body would
+// push charge past the inlining budget and cost every disabled-mode
+// charge site a function call (the <2% disabled-cost contract,
+// OBSERVABILITY.md).
 func (v *VM) charge(cat Category, cycles float64) {
 	v.eng.AdvanceClock(cycles)
 	v.res.Cat[cat] += cycles
@@ -236,16 +209,16 @@ func (v *VM) charge(cat Category, cycles float64) {
 }
 
 // attribute books already-elapsed machine time (from the dataflow
-// replay) to cat. Consumer side.
+// replay) to cat.
 func (v *VM) attribute(cat Category, delta float64) {
 	v.res.Cat[cat] += delta
 	v.cycles = v.eng.Now()
 }
 
-// sampleIfDue emits due startup-curve samples. Consumer side. This
-// runs once per dispatched block and must stay within the inlining
-// budget, which is why the timeline sampler lives in a separate
-// check-plus-call at the (non-inlinable) call sites rather than here.
+// sampleIfDue emits due startup-curve samples. This runs once per
+// dispatched block and must stay within the inlining budget, which is
+// why the timeline sampler lives in a separate check-plus-call in the
+// Run loop rather than here.
 func (v *VM) sampleIfDue() {
 	for v.cycles >= v.nextSample {
 		v.res.Samples = append(v.res.Samples, v.snapshot())
@@ -253,23 +226,21 @@ func (v *VM) sampleIfDue() {
 	}
 }
 
-// appendTimeline records every due timeline slice; bbtUsed/sbtUsed are
-// the code-cache occupancies the producer captured into the sample
-// record (producer-owned state must not be read here while a pipelined
-// run is in flight). Called only when a boundary has actually been
-// crossed (rare — once per interval); the per-block disabled cost is
-// the caller's single compare against the +Inf boundary.
-func (v *VM) appendTimeline(bbtUsed, sbtUsed uint32) {
+// appendTimeline records every due timeline slice. Called only when a
+// boundary has actually been crossed (rare — once per interval); the
+// per-block disabled cost is the caller's single compare against the
+// +Inf boundary.
+func (v *VM) appendTimeline() {
 	for v.cycles >= v.tlNext {
 		// The slice is stamped at the nominal boundary, not v.cycles:
 		// the grid stays regular however far one block overshoots.
-		v.tlNext = v.tl.Append(v.timeSlice(v.tlNext, bbtUsed, sbtUsed))
+		v.tlNext = v.tl.Append(v.timeSlice(v.tlNext))
 	}
 }
 
-// timeSlice snapshots the consumer's cumulative counters into one
-// timeline slice ending at end.
-func (v *VM) timeSlice(end float64, bbtUsed, sbtUsed uint32) obs.TimeSlice {
+// timeSlice snapshots the cumulative counters and the code-cache
+// occupancy into one timeline slice ending at end.
+func (v *VM) timeSlice(end float64) obs.TimeSlice {
 	return obs.TimeSlice{
 		EndCycles:    end,
 		Instrs:       v.res.Instrs,
@@ -281,8 +252,8 @@ func (v *VM) timeSlice(end float64, bbtUsed, sbtUsed uint32) obs.TimeSlice {
 		XlateCycles:  v.res.Cat[CatBBTXlate] + v.res.Cat[CatSBTXlate],
 		EmuCycles: v.res.Cat[CatBBTEmu] + v.res.Cat[CatSBTEmu] +
 			v.res.Cat[CatX86Emu] + v.res.Cat[CatInterp],
-		BBTUsed: bbtUsed,
-		SBTUsed: sbtUsed,
+		BBTUsed: v.bbtCache.Used(),
+		SBTUsed: v.sbtCache.Used(),
 	}
 }
 
@@ -299,58 +270,37 @@ func (v *VM) snapshot() Sample {
 // the VM's lifetime) have retired or the program halts. It may be called
 // again with a larger budget to continue the same machine — e.g. after
 // flushing the caches to study the code-cache-warm startup scenario.
-//
-// With Cfg.Pipeline set, functional execution and timing run decoupled
-// on two goroutines (trace.go); results are byte-identical to the
-// sequential mode. Decoupling only buys wall-clock time when the
-// producer and consumer can actually run in parallel, so a single-proc
-// host (GOMAXPROCS=1) falls back to the sequential path — same
-// results, none of the hand-off overhead.
 func (v *VM) Run(maxInstrs uint64) (*Result, error) {
-	pipelined := v.Cfg.Pipeline && runtime.GOMAXPROCS(0) > 1 &&
-		!v.halted && v.instrs < maxInstrs
 	if v.obs != nil {
 		v.obsRunStart(maxInstrs)
 	}
-	if pipelined {
-		v.startPipeline()
-	}
-	var runErr error
 	for !v.halted && v.instrs < maxInstrs {
 		t, cat, err := v.dispatch()
 		if err != nil {
-			runErr = err
-			break
+			return &v.res, err
 		}
 		if err := v.execute(t, cat); err != nil {
-			runErr = err
-			break
+			return &v.res, err
 		}
-		v.emitSample()
-	}
-	if pipelined {
-		v.stopPipeline()
-	}
-	if runErr != nil {
-		return &v.res, runErr
+		v.sampleIfDue()
+		if v.cycles >= v.tlNext {
+			v.appendTimeline()
+		}
 	}
 	v.res.Cycles = v.cycles
 	v.res.Halted = v.halted
 	v.res.XltInvocations = v.xlt.Invocations
 	v.res.XltBusyCycles = v.xlt.BusyCycles
 	if v.prof != nil {
-		// Reconcile the attribution against the run total; both pipeline
-		// sides have joined, so consumer-owned profiler state is stable.
+		// Reconcile the attribution against the run total.
 		v.res.Attrib = v.prof.Finish(v.res.Cycles)
 	}
 	if !v.Cfg.NoStartupSamples {
 		v.res.Samples = append(v.res.Samples, v.snapshot())
 	}
 	if v.tl != nil {
-		// Close the timeline with the run-end partial slice. Both
-		// pipeline sides have joined, so producer-owned occupancy is
-		// readable here.
-		v.tl.AppendFinal(v.timeSlice(v.cycles, v.bbtCache.Used(), v.sbtCache.Used()))
+		// Close the timeline with the run-end partial slice.
+		v.tl.AppendFinal(v.timeSlice(v.cycles))
 	}
 	if v.obs != nil {
 		v.obsRunEnd()
@@ -365,14 +315,10 @@ func (v *VM) Run(maxInstrs uint64) (*Result, error) {
 // (codecache.Translation.Unchain) — so following it needs no Invalid
 // flag or epoch re-validation, no strategy switch and no map probe.
 // Only hotspot detection remains on the fast path, gated by the
-// precomputed Profiled bit. With Cfg.NoThreadedDispatch the legacy
-// validity checks run again; they can never fail (the chains they would
-// reject are already severed), so both modes follow identical chains.
+// precomputed Profiled bit.
 func (v *VM) dispatch() (*codecache.Translation, Category, error) {
 	if v.prevT != nil {
-		e := &v.prevT.Exits[v.prevExit]
-		if c := e.Chained; c != nil &&
-			(!v.Cfg.NoThreadedDispatch || (!c.Invalid && c.Epoch == v.cacheOf(c).Epoch())) {
+		if c := v.prevT.Exits[v.prevExit].Chained; c != nil {
 			if c.Profiled && v.det.RecordEntry(v.pc, c.NumX86) {
 				if err := v.formSuperblock(v.pc); err != nil {
 					return nil, 0, err
@@ -457,7 +403,7 @@ func (v *VM) dispatchSlow() (*codecache.Translation, Category, error) {
 	fromShadow := v.prevT != nil && v.prevT.Shadow
 	if !t.Shadow && (cfg.Strategy.UsesBBT() || t.Kind == codecache.KindSBT) &&
 		!(cfg.Strategy == StratFE && fromShadow) {
-		v.emitCharge(CatVMM, attrib.Chain, v.pc, cfg.DispatchCycles)
+		v.chargeAt(CatVMM, attrib.Chain, v.pc, cfg.DispatchCycles)
 	}
 
 	// Mode switches (VM.fe): crossing between x86-mode and native mode.
@@ -467,7 +413,7 @@ func (v *VM) dispatchSlow() (*codecache.Translation, Category, error) {
 	if cfg.Strategy == StratFE {
 		x86mode := cat == CatX86Emu
 		if x86mode != v.inX86 {
-			v.emitCharge(CatVMM, attrib.Chain, v.pc, cfg.ModeSwitchCycles)
+			v.chargeAt(CatVMM, attrib.Chain, v.pc, cfg.ModeSwitchCycles)
 			v.inX86 = x86mode
 		}
 	}
@@ -531,12 +477,9 @@ func (v *VM) jtlbValid(c *codecache.Translation) bool {
 }
 
 // shadowPut registers a shadow block, counting clock evictions and
-// shooting down the jump-TLB entry of any victim. An eviction is a
-// pipeline sync point: the consumer catches up before the victim's
-// state is reused.
+// shooting down the jump-TLB entry of any victim.
 func (v *VM) shadowPut(pc uint32, t *codecache.Translation) {
 	if epc, evicted := v.shadow.put(pc, t); evicted {
-		v.drainPipeline(drainShadowEvict)
 		v.res.ShadowEvictions++
 		v.jtlb.Evict(epc)
 		if v.obs != nil {
@@ -648,23 +591,17 @@ func (v *VM) translateBBT() (*codecache.Translation, error) {
 		// HAloop with the XLTx86 unit; complex instructions fall back to
 		// software cracking (Flag_cmplx).
 		cost = cfg.BBTCyclesPerInst*float64(simple) + cfg.BBTComplexCycles*float64(complex)
-		v.emitXlt(uint32(t.NumX86), simple, complex)
+		v.bookXlt(uint32(t.NumX86), simple, complex)
 		// Fsrc streaming buffer and direct code-cache writeback: no
 		// data-cache pollution (§4.2).
 	default:
 		cost = cfg.BBTCyclesPerInst * float64(t.NumX86)
 		// The software translator reads architected code through the
 		// data cache and writes the translation through it as well.
-		v.emitTouch(t.EntryPC, uint32(t.X86Bytes), false)
+		v.eng.Caches.Touch(t.EntryPC, t.X86Bytes, false)
 	}
-	v.emitCharge(CatBBTXlate, attrib.BBTTranslate, t.EntryPC, cost)
+	v.chargeAt(CatBBTXlate, attrib.BBTTranslate, t.EntryPC, cost)
 
-	// A flushing insert recycles the arena backing every old-epoch
-	// translation, so the pipelined consumer must not be holding trace
-	// records into them: drain before Insert, not after.
-	if v.bbtCache.NeedsFlush(t.Size) {
-		v.drainPipeline(drainBBTFlush)
-	}
 	t, flushed, err := v.bbtCache.Insert(t)
 	if err != nil {
 		return nil, err
@@ -673,7 +610,7 @@ func (v *VM) translateBBT() (*codecache.Translation, error) {
 		v.onBBTFlush()
 	}
 	if cfg.Strategy == StratSoft {
-		v.emitTouch(t.Addr, uint32(t.Size), true)
+		v.eng.Caches.Touch(t.Addr, t.Size, true)
 	}
 	v.res.BBTTranslations++
 	v.res.BBTX86Translated += uint64(t.NumX86)
@@ -684,27 +621,18 @@ func (v *VM) translateBBT() (*codecache.Translation, error) {
 }
 
 // formSuperblock translates and optimizes the hot region entered at pc.
-// Hot-threshold promotion is a pipeline sync point: the timing consumer
-// catches up before the superblock is formed, so the decision and its
-// side effects observe exactly the serial loop's state.
 func (v *VM) formSuperblock(pc uint32) error {
-	v.drainPipeline(drainSBTPromote)
 	cfg := &v.Cfg
 	t, err := v.sbtFormer.Form(v.Mem, pc, v.edges, cfg.SBT)
 	if err != nil {
 		return err
 	}
 	v.analyze(t)
-	v.emitCharge(CatSBTXlate, attrib.SBTForm, pc, cfg.SBTCyclesPerInst*float64(t.NumX86))
+	v.chargeAt(CatSBTXlate, attrib.SBTForm, pc, cfg.SBTCyclesPerInst*float64(t.NumX86))
 	// The optimizer reads the architected code and writes the superblock
 	// through the data cache (it is software in every configuration).
-	v.emitTouch(pc, uint32(t.X86Bytes), false)
+	v.eng.Caches.Touch(pc, t.X86Bytes, false)
 
-	// Drain before a flushing insert: the arena recycle must not race
-	// the consumer's reads (see translateBBT).
-	if v.sbtCache.NeedsFlush(t.Size) {
-		v.drainPipeline(drainSBTFlush)
-	}
 	t, flushed, err := v.sbtCache.Insert(t)
 	if err != nil {
 		return err
@@ -712,7 +640,7 @@ func (v *VM) formSuperblock(pc uint32) error {
 	if flushed {
 		v.onSBTFlush()
 	}
-	v.emitTouch(t.Addr, uint32(t.Size), true)
+	v.eng.Caches.Touch(t.Addr, t.Size, true)
 	if v.obs != nil {
 		v.obsSBTPromote(t)
 	}
@@ -740,9 +668,7 @@ func (v *VM) formSuperblock(pc uint32) error {
 // onBBTFlush handles a basic-block code cache flush: chains are severed
 // eagerly by the flush itself; profiling state is kept (the blocks
 // remain warm in the detector, as with a real software counter table in
-// VMM memory). Flushes are pipeline sync points — the drain runs before
-// the flushing Insert (see translateBBT), because the flush recycles
-// translation storage the consumer may still be reading.
+// VMM memory).
 func (v *VM) onBBTFlush() {
 	v.invalidated = v.invalidated[:0]
 	// The flush recycled its translations' storage; a stale jump-TLB
@@ -767,8 +693,7 @@ func (v *VM) onBBTFlush() {
 
 // onSBTFlush handles a superblock cache flush: superseded BBT blocks
 // become live again and regions must be re-detected before
-// re-optimizing. Flushes are pipeline sync points — the drain runs
-// before the flushing Insert (see formSuperblock).
+// re-optimizing.
 func (v *VM) onSBTFlush() {
 	v.jtlb.EvictKind(codecache.KindSBT) // see onBBTFlush
 	for _, t := range v.invalidated {
@@ -784,44 +709,27 @@ func (v *VM) onSBTFlush() {
 	}
 }
 
-// execute runs one translation functionally and emits its timing trace:
+// execute runs one translation functionally and charges its timing:
 // block start (mode + fetch), the executed micro-op ranges with their
 // memory and branch events, callout serializations, and the closing
-// attribution/statistics record.
+// attribution/statistics.
 func (v *VM) execute(t *codecache.Translation, cat Category) error {
-	if !v.pipelining && cat != CatInterp && t.FastExec {
-		// Sequential mode runs eligible translations through the fused
-		// execute+timing pass: one walk does the functional work and the
-		// dataflow charge (timing.Engine.ExecBlock), which is
-		// bit-identical to the split path below — see ExecBlock's
-		// equivalence argument. Interpreted blocks keep the split path
-		// (their timing is per-instruction software cost, not a dataflow
-		// replay); the pipelined mode keeps it because its timing runs on
-		// the consumer goroutine by design.
+	if cat != CatInterp && t.FastExec {
+		// Eligible translations run through the fused execute+timing
+		// pass: one walk does the functional work and the dataflow
+		// charge (timing.Engine.ExecBlock), which is bit-identical to
+		// the split path below — see ExecBlock's equivalence argument.
+		// Interpreted blocks keep the split path: their timing is
+		// per-instruction software cost, not a dataflow replay.
 		return v.executeFused(t, cat)
 	}
-	env := fisa.Env{St: &v.nst, Mem: v.Mem}
-	if v.pipelining {
-		// Deferred-observation mode: fisa.Exec appends loads, stores
-		// and branch outcomes to Env.Events instead of calling probe
-		// interfaces; flushEvents copies the batch into the event
-		// side-ring and publishes one coalesced opEvents record per
-		// chunk — replacing the per-event ring records. The consumer
-		// replays the batch in exact program order before the segment's
-		// timing charge, so every engine-visible operation happens in
-		// the same relative order as the per-event wiring it replaced.
-		env.Events = v.evBuf[:0]
-	} else {
-		// Sequential mode: the probes feed the timing engine directly —
-		// buffering and replaying would only add copy overhead when the
-		// engine is right here on the same goroutine.
-		env.Probe = v.eng
-		if cat != CatInterp {
-			env.Branch = v
-		}
+	// The probes feed the timing engine directly during the pass.
+	env := fisa.Env{St: &v.nst, Mem: v.Mem, Probe: v.eng}
+	if cat != CatInterp {
+		env.Branch = v
 	}
 
-	v.emitBlockStart(t, cat)
+	v.blockStart(t, cat)
 
 	var total, st fisa.ExecStats
 	start := 0
@@ -837,23 +745,21 @@ func (v *VM) execute(t *codecache.Translation, cat Category) error {
 		total.Stores += st.Stores
 		total.Boundaries += st.Boundaries
 
-		// Timing replay over the executed (linear) ranges: first the
-		// leg's buffered observations, then the dataflow charge.
-		v.flushEvents(&env, cat == CatInterp)
+		// Dataflow charge over the executed (linear) ranges.
 		if cat == CatInterp {
-			v.emitSegInterp(st.Boundaries)
+			v.segInterp(st.Boundaries)
 		} else if st.TakenBranchIdx >= 0 {
-			v.emitSeg(t, start, st.TakenBranchIdx)
-			v.emitSeg(t, idx, idx)
+			v.eng.ChargeBlock(t, start, st.TakenBranchIdx)
+			v.eng.ChargeBlock(t, idx, idx)
 		} else {
-			v.emitSeg(t, start, idx)
+			v.eng.ChargeBlock(t, start, idx)
 		}
 
 		if kind == fisa.StopCallout {
 			if err := v.calloutExec(t.Uops[idx].X86PC); err != nil {
 				return err
 			}
-			v.emitCallout(cat != CatInterp && cat != CatX86Emu)
+			v.callout(cat != CatInterp && cat != CatX86Emu)
 			start = idx + 1
 			continue
 		}
@@ -861,10 +767,7 @@ func (v *VM) execute(t *codecache.Translation, cat Category) error {
 		break
 	}
 
-	if env.Events != nil {
-		v.evBuf = env.Events[:0] // retain the grown capacity for the next block
-	}
-	v.emitBlockEnd(cat, total.Boundaries, total.Uops, uint64(total.Entities))
+	v.blockEnd(cat, total.Boundaries, total.Uops, uint64(total.Entities))
 	v.instrs += uint64(total.Boundaries)
 	t.ExecCount++
 
@@ -875,8 +778,7 @@ func (v *VM) execute(t *codecache.Translation, cat Category) error {
 // pass: the same block-start fetch, leg loop, callout handling,
 // block-end attribution and exit resolution as the split path of
 // execute, with fisa.Exec + ChargeBlock replaced by the single-walk
-// timing.Engine.ExecBlock. Sequential mode only; the timing methods are
-// called directly (no trace records).
+// timing.Engine.ExecBlock.
 func (v *VM) executeFused(t *codecache.Translation, cat Category) error {
 	v.blockStart(t, cat)
 
@@ -931,7 +833,7 @@ func (v *VM) calloutExec(pc uint32) error {
 }
 
 // interpFetch charges the interpreter's reads of architected code bytes
-// (data-side accesses). Consumer side.
+// (data-side accesses).
 func (v *VM) interpFetch(t *codecache.Translation) float64 {
 	const line = 64
 	stall := 0.0
@@ -962,28 +864,18 @@ func (v *VM) resolveExit(t *codecache.Translation, exitIdx int, cat Category) er
 
 	case codecache.ExitIndirect:
 		next = v.nst.R[e.TargetReg]
-		var flags uint8
-		switch {
-		case e.Ret:
-			flags |= flagRet
-		case e.Call:
-			flags |= flagCall
-		}
 		// Software indirect-target lookup for translated code. Returns
 		// are exempt: the co-designed pipeline predicts them into the
 		// code cache with a dual-address return address stack (the
 		// hardware support for control transfers of Kim & Smith, cited
 		// as the design's mechanism), so only computed jumps and
 		// indirect calls take the software hash path.
-		if !t.Shadow && cat != CatInterp && !e.Ret {
-			flags |= flagIndLookup
-		}
-		v.emitExitInd(cat, e.BranchPC, next, e.ReturnPC, flags)
+		v.exitInd(cat, e, next, !t.Shadow && cat != CatInterp && !e.Ret)
 
 	default: // Fall, Taken, Side — static target
 		next = e.Target
 		if e.Call {
-			v.emitExitCall(e.BranchPC, next, e.ReturnPC)
+			v.eng.BranchCycles(timing.CTICall, e.BranchPC, next, e.ReturnPC, true)
 		}
 		// Conditional-branch prediction was handled by the UBR probe
 		// during execution; direct jumps/calls resolve in decode.

@@ -1,7 +1,6 @@
 package vmm
 
 import (
-	"bytes"
 	"testing"
 
 	"codesignvm/internal/obs"
@@ -9,93 +8,18 @@ import (
 
 // runObserved simulates one run with timeline sampling enabled and the
 // given sink attached, returning the result and the run's recorder.
-func runObserved(t *testing.T, cfg Config, seed int64, budget uint64, ringLen int, pipeline bool, sink obs.Sink) (*Result, *obs.Recorder) {
+func runObserved(t *testing.T, cfg Config, seed int64, budget uint64, sink obs.Sink) (*Result, *obs.Recorder) {
 	t.Helper()
-	c := cfg
-	c.Pipeline = pipeline
 	o := obs.NewObserver(sink)
 	o.EnableTimeline(obs.TimelineSpec{IntervalCycles: 5_000, MaxSlices: 64})
 	rec := o.NewRun("test")
-	vm := New(c, freshMemory(buildProgram(seed), seed), initState())
-	vm.ringLen = ringLen
+	vm := New(cfg, freshMemory(buildProgram(seed), seed), initState())
 	vm.SetObserver(rec)
 	res, err := vm.Run(budget)
 	if err != nil {
-		t.Fatalf("seed %d pipeline=%v: %v", seed, pipeline, err)
+		t.Fatalf("seed %d: %v", seed, err)
 	}
 	return res, rec
-}
-
-// timelineCSV exports one recorder's timeline as CSV bytes.
-func timelineCSV(t *testing.T, rec *obs.Recorder) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := obs.WriteTimelinesCSV(&buf, []*obs.Recorder{rec}); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestTimelineIdenticalAcrossModes is the determinism golden test for
-// the interval sampler: the exported timeline must be byte-identical
-// between the sequential and pipelined execution modes. It holds by
-// construction — cache occupancy is captured producer-side into the
-// trace records and boundary crossings are decided consumer-side, so
-// both modes see the same record sequence — and this pins it, including
-// with a tiny ring (heavy drain/stall traffic).
-func TestTimelineIdenticalAcrossModes(t *testing.T) {
-	force2Procs(t)
-	for seed := int64(1); seed <= 4; seed++ {
-		cfg := DefaultConfig(StratSoft)
-		cfg.HotThreshold = 12
-		cfg.BBTCacheSize = 256
-		cfg.SBTCacheSize = 512
-		resSeq, recSeq := runObserved(t, cfg, seed, 4_000_000, 16, false, nil)
-		resPipe, recPipe := runObserved(t, cfg, seed, 4_000_000, 16, true, nil)
-		if resSeq.Cycles != resPipe.Cycles || resSeq.Instrs != resPipe.Instrs {
-			t.Fatalf("seed %d: modes disagree on the result itself", seed)
-		}
-		seqCSV, pipeCSV := timelineCSV(t, recSeq), timelineCSV(t, recPipe)
-		if !bytes.Equal(seqCSV, pipeCSV) {
-			t.Fatalf("seed %d: timeline CSV differs between modes\nseq:\n%s\npipe:\n%s",
-				seed, seqCSV, pipeCSV)
-		}
-		if recSeq.Timeline().Len() < 3 {
-			t.Fatalf("seed %d: timeline too short (%d slices) to be a meaningful golden",
-				seed, recSeq.Timeline().Len())
-		}
-	}
-}
-
-// TestTraceIdenticalAcrossModes: the Chrome trace export must be
-// byte-identical between modes. The sink never writes the host-global
-// Seq, timestamps are the producer instruction clock, and the
-// host-pipeline kinds are excluded by default, so the pipelined run's
-// extra ring events leave no mark.
-func TestTraceIdenticalAcrossModes(t *testing.T) {
-	force2Procs(t)
-	cfg := DefaultConfig(StratSoft)
-	cfg.HotThreshold = 12
-	cfg.BBTCacheSize = 256
-	cfg.SBTCacheSize = 512
-	for seed := int64(1); seed <= 4; seed++ {
-		var seqBuf, pipeBuf bytes.Buffer
-		seqSink, pipeSink := obs.NewTraceSink(&seqBuf), obs.NewTraceSink(&pipeBuf)
-		runObserved(t, cfg, seed, 4_000_000, 16, false, seqSink)
-		runObserved(t, cfg, seed, 4_000_000, 16, true, pipeSink)
-		if err := seqSink.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if err := pipeSink.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(seqBuf.Bytes(), pipeBuf.Bytes()) {
-			t.Fatalf("seed %d: Chrome trace differs between modes", seed)
-		}
-		if seqBuf.Len() == 0 {
-			t.Fatalf("seed %d: empty trace", seed)
-		}
-	}
 }
 
 // TestTimelineShowsStartupTransient pins the paper's phenomenon as seen
@@ -104,7 +28,6 @@ func TestTraceIdenticalAcrossModes(t *testing.T) {
 // code at higher IPC.
 func TestTimelineShowsStartupTransient(t *testing.T) {
 	cfg := DefaultConfig(StratSoft)
-	cfg.Pipeline = false
 	o := obs.NewObserver(nil)
 	o.EnableTimeline(obs.TimelineSpec{IntervalCycles: 10_000, MaxSlices: 512})
 	rec := o.NewRun("transient")
@@ -138,7 +61,6 @@ func TestTimelineShowsStartupTransient(t *testing.T) {
 func TestObservedMatchesUnobservedWithTimeline(t *testing.T) {
 	cfg := DefaultConfig(StratSoft)
 	cfg.HotThreshold = 12
-	cfg.Pipeline = false
 	plain := func() *Result {
 		vm := New(cfg, freshMemory(buildProgram(5), 5), initState())
 		res, err := vm.Run(4_000_000)
@@ -147,7 +69,7 @@ func TestObservedMatchesUnobservedWithTimeline(t *testing.T) {
 		}
 		return res
 	}()
-	observed, rec := runObserved(t, cfg, 5, 4_000_000, 0, false, nil)
+	observed, rec := runObserved(t, cfg, 5, 4_000_000, nil)
 	if rec.Timeline().Len() == 0 {
 		t.Fatal("timeline sampled nothing")
 	}

@@ -149,25 +149,10 @@ type Config struct {
 	// no effect on any other reported counter.
 	NoStartupSamples bool
 
-	// Pipeline selects the host-side execution mode of the simulator
-	// itself: when set, functional execution (dispatch + fisa.Exec) and
-	// timing (dataflow replay, caches, predictor, sampling) run
-	// decoupled on two goroutines connected by a bounded SPSC trace
-	// ring (see run.go / trace.go). Reported results are byte-identical
-	// to the sequential mode; only host wall-clock changes, so the
-	// run-result caches treat the two modes as the same simulation.
-	// Hosts without parallelism (GOMAXPROCS=1) ignore the flag and run
-	// sequentially — decoupling cannot help there, only cost.
+	// Deprecated: Pipeline is read by nothing; every run executes and
+	// times inline on one goroutine. It remains only because the
+	// perfbench harness (perfbench/layers.go) still sets it.
 	Pipeline bool
-
-	// NoThreadedDispatch disables the direct-threaded dispatch fast
-	// path: chained exits are then re-validated against the Invalid
-	// flag and cache epoch on every dispatch, as the pre-threaded
-	// dispatcher did. Chain invalidation is eager in both modes, so the
-	// two dispatchers follow exactly the same chains and produce
-	// byte-identical results; the flag exists for A/B measurement and
-	// as a diagnostic fallback.
-	NoThreadedDispatch bool
 
 	// WarmStart selects how a persisted translation snapshot attached
 	// with VM.Restore enters the code caches (warm.go): WarmOff rejects
@@ -178,10 +163,7 @@ type Config struct {
 	// faults in the tail, WarmEager materializes everything up front.
 	// The mode changes the simulated machine: restore costs below are
 	// charged instead of translation costs, so results differ across
-	// modes by design — while any single mode stays byte-identical
-	// across the host-side execution modes (Pipeline,
-	// NoThreadedDispatch), which is why those are normalized out of run
-	// keys and this field is not.
+	// modes by design, and the field is part of every run key.
 	WarmStart WarmStart
 
 	// RestoreCyclesPerInst is the simulated VMM cost, per covered x86
@@ -265,7 +247,6 @@ func DefaultConfig(s Strategy) Config {
 		JTLBEntries:          DefaultJTLBEntries,
 		ShadowCap:            DefaultShadowCap,
 		SampleGrowth:         1.25,
-		Pipeline:             true,
 		RestoreCyclesPerInst: 8,
 		RestoreFaultCycles:   200,
 		WarmEagerFraction:    0.25,

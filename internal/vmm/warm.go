@@ -22,7 +22,7 @@ import (
 // superblock optimizer.
 //
 // Invariants (DESIGN.md §10):
-//   - The snapshot is immutable and producer-read-only; materialized
+//   - The snapshot is immutable and read-only; materialized
 //     translations are rebuilt through the normal scratch-analyze-
 //     Insert protocol, so they live in the cache arenas like any cold
 //     translation and are recycled by flushes the same way.
@@ -32,9 +32,7 @@ import (
 //     capacity pressure is never hidden by re-restoring.
 //   - Fault-ins happen only inside the dispatch slow path, in
 //     dispatch order, which is deterministic per configuration — so a
-//     warm run is byte-identical across the host execution modes
-//     (threaded/unthreaded × sequential/pipelined) exactly like a cold
-//     run.
+//     warm run is as reproducible as a cold run.
 type warmState struct {
 	snap *codecache.Snapshot
 	// Pending (not yet materialized) snapshot entries by entry PC, per
@@ -99,12 +97,8 @@ func (v *VM) Restore(snap *codecache.Snapshot) (int, error) {
 		preloadedX86 += uint64(t.NumX86)
 	}
 	if total > 0 {
-		// Restore runs before Run, so the pipeline is not live and the
-		// bulk restore cost is charged directly as VMM work.
-		v.charge(CatVMM, total)
-		if v.prof != nil {
-			v.prof.Charge(attrib.RestorePreload, 0, total)
-		}
+		// Restore runs before Run: the bulk restore cost is VMM work.
+		v.chargeAt(CatVMM, attrib.RestorePreload, 0, total)
 	}
 	if v.obs != nil {
 		v.obsRestore(preloaded, preloadedX86)
@@ -159,16 +153,6 @@ func (v *VM) materialize(i int) (*codecache.Translation, float64, error) {
 	if t.Kind == codecache.KindSBT {
 		cache, pending = v.sbtCache, v.warm.sbt
 	}
-	// A flushing insert recycles the arena backing every old-epoch
-	// translation; the pipelined consumer must not be holding trace
-	// records into them (same contract as translateBBT).
-	if cache.NeedsFlush(t.Size) {
-		if t.Kind == codecache.KindSBT {
-			v.drainPipeline(drainSBTFlush)
-		} else {
-			v.drainPipeline(drainBBTFlush)
-		}
-	}
 	t, flushed, err := cache.Insert(t)
 	if err != nil {
 		return nil, 0, err
@@ -211,7 +195,7 @@ func (v *VM) warmFault(kind codecache.TransKind, pc uint32) *codecache.Translati
 		delete(pending, pc) // poisoned entry: never retry it
 		return nil
 	}
-	v.emitCharge(CatVMM, attrib.RestoreFault, pc, v.Cfg.RestoreFaultCycles+cost)
+	v.chargeAt(CatVMM, attrib.RestoreFault, pc, v.Cfg.RestoreFaultCycles+cost)
 	if v.obs != nil {
 		v.obsRestoreFault(t)
 	}

@@ -2,8 +2,6 @@ package vmm
 
 import (
 	"bytes"
-	"reflect"
-	"runtime"
 	"testing"
 
 	"codesignvm/internal/codecache"
@@ -100,62 +98,6 @@ func TestWarmModesEquivalenceAndEconomics(t *testing.T) {
 				t.Errorf("warm startup (%.0f cycles) not faster than cold (%.0f)", res.Cycles, cold.Cycles)
 			}
 		})
-	}
-}
-
-// TestWarmModesHostLockstep is the determinism contract for the
-// fault-in path: for every warm-start mode, the full Result must be
-// byte-identical across threaded/unthreaded dispatch × sequential/
-// pipelined execution — fault-ins happen in dispatch order, which is
-// identical in all four host modes.
-func TestWarmModesHostLockstep(t *testing.T) {
-	if old := runtime.GOMAXPROCS(0); old < 2 {
-		runtime.GOMAXPROCS(2)
-		t.Cleanup(func() { runtime.GOMAXPROCS(old) })
-	}
-	seed := int64(77)
-	code := buildProgram(seed)
-	_, _, goldenN := goldenRun(t, code, seed, 5_000_000)
-
-	base := DefaultConfig(StratSoft)
-	base.HotThreshold = 12
-	base.Pipeline = false
-	base.NoThreadedDispatch = true
-	snap, _ := warmSnapshot(t, base, code, seed, goldenN+1000)
-
-	arms := []struct {
-		name               string
-		noThreaded, noPipe bool
-	}{
-		{"unthreaded-sequential", true, true}, // golden arm
-		{"threaded-sequential", false, true},
-		{"unthreaded-pipelined", true, false},
-		{"threaded-pipelined", false, false},
-	}
-	for _, mode := range []WarmStart{WarmLazy, WarmHybrid, WarmEager} {
-		var golden *Result
-		for i, arm := range arms {
-			cfg := base
-			cfg.WarmStart = mode
-			cfg.NoThreadedDispatch = arm.noThreaded
-			cfg.Pipeline = !arm.noPipe
-			vm := New(cfg, freshMemory(code, seed), initState())
-			if _, err := vm.Restore(snap); err != nil {
-				t.Fatal(err)
-			}
-			res, err := vm.Run(goldenN + 1000)
-			if err != nil {
-				t.Fatalf("%v/%s: %v", mode, arm.name, err)
-			}
-			if i == 0 {
-				golden = res
-				continue
-			}
-			if !reflect.DeepEqual(res, golden) {
-				t.Errorf("%v: %s result differs from %s\n got  %+v\n want %+v",
-					mode, arm.name, arms[0].name, res, golden)
-			}
-		}
 	}
 }
 

@@ -72,6 +72,20 @@ func TestRoundTripALUForms(t *testing.T) {
 		// rm8, imm8
 		in, _ = encodeOne(t, func(a *Asm) { a.ALUI(op, 1, R(ECX), 0x7F) })
 		checkInst(t, in, Inst{Op: op, Width: 1, Dst: R(ECX), Imm: 0x7F, HasImm: true}, op.String()+" r8,imm8")
+		// Accumulator short forms, which the assembler never emits:
+		// AL, imm8 and eAX, imm (32- and 16-bit).
+		in, _ = Decode([]byte{aluBase[op] | 4, 0x80})
+		checkInst(t, in, Inst{Op: op, Width: 1, Dst: R(EAX), Imm: -128, HasImm: true}, op.String()+" al,imm8")
+		in, _ = Decode([]byte{aluBase[op] | 5, 0x78, 0x56, 0x34, 0x12})
+		checkInst(t, in, Inst{Op: op, Width: 4, Dst: R(EAX), Imm: 0x12345678, HasImm: true}, op.String()+" eax,imm32")
+		in, _ = Decode([]byte{0x66, aluBase[op] | 5, 0x34, 0x12})
+		checkInst(t, in, Inst{Op: op, Width: 2, Dst: R(EAX), Imm: 0x1234, HasImm: true}, op.String()+" ax,imm16")
+		// Columns 6 and 7 of an ALU row are not that ALU op.
+		for _, col := range []uint8{6, 7} {
+			if in, _ := Decode([]byte{aluBase[op] | col, 0xC0, 0, 0, 0, 0}); in.Op == op {
+				t.Errorf("%v row column %d decoded as %v", op, col, in)
+			}
+		}
 	}
 }
 

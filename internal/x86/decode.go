@@ -135,6 +135,10 @@ func (d *decoder) modrm() (reg uint8, rm Operand, err error) {
 	return reg, op, nil
 }
 
+// aluOps maps the row of an ALU-block opcode (0x00..0x3F, op>>3) to
+// its operation.
+var aluOps = [8]Op{ADD, OR, ADC, SBB, AND, SUB, XOR, CMP}
+
 // Decode decodes a single instruction from code. On success the returned
 // instruction's Len field gives the number of bytes consumed.
 func Decode(code []byte) (Inst, error) {
@@ -166,9 +170,8 @@ func Decode(code []byte) (Inst, error) {
 	}
 
 	// ALU block: 0x00..0x3D excluding the escape/other rows.
-	aluOps := map[uint8]Op{0x00: ADD, 0x08: OR, 0x10: ADC, 0x18: SBB, 0x20: AND, 0x28: SUB, 0x30: XOR, 0x38: CMP}
-	if alu, ok := aluOps[op&0xF8]; ok && op&7 <= 5 {
-		if err := decodeALU(&d, &in, alu, op&7); err != nil {
+	if op < 0x40 && op&7 <= 5 {
+		if err := decodeALU(&d, &in, aluOps[op>>3], op&7); err != nil {
 			return in, err
 		}
 		return finish(&d, in)

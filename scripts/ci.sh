@@ -1,10 +1,9 @@
 #!/usr/bin/env sh
 # Tier-1 gate: vet, build, and the full test suite under the race
-# detector (the experiment grid, the run/workload caches, and the
-# per-run execute/timing pipeline are concurrent by default).
-# -timeout 1800s: the experiments package now exceeds go test's 10m
-# default under race instrumentation on 1-CPU hosts (the golden sweep
-# covers eight report harnesses across four host modes).
+# detector (the experiment grid and the run/workload caches are
+# concurrent by default).
+# -timeout 1800s: the experiments package can exceed go test's 10m
+# default under race instrumentation on 1-CPU hosts.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -13,15 +12,11 @@ go vet ./...
 go build ./...
 go test -race -timeout 1800s ./...
 
-# The pipeline's worker budgeting and ring hand-off must also hold when
-# the producer and consumer are forced to share two OS threads. Scoped
-# to the pipeline/store tests: with GOMAXPROCS=2 the pipeline engages
-# inside *every* simulated run, and the full experiments suite under
-# race instrumentation exceeds the go-test timeout on small CI hosts.
-# (-count=1: GOMAXPROCS is not part of the test cache key, so a cached
-# pass from the full run above would otherwise satisfy this line.)
-GOMAXPROCS=2 go test -race -count=1 -timeout 1800s -run 'Pipeline|RunStore' \
-	./internal/vmm/ ./internal/experiments/
+# Run-store gate: the store's lock protocol and key derivation on two
+# OS threads (-count=1: GOMAXPROCS is not part of the test cache key,
+# so a cached pass from the full run above would otherwise satisfy
+# this line).
+GOMAXPROCS=2 go test -race -count=1 -timeout 1800s -run 'RunStore' ./internal/experiments/
 
 # Store-fault gate: the run store's crash-safety contract. The fault-
 # injection suite (faultfs + storefault_test.go) proves every injected
@@ -50,16 +45,20 @@ go test -run '^$' -bench 'Fig2' -benchtime=1x .
 #   2. BBT translation must stay within its recorded byte ceiling per
 #      op (scratch-and-commit leaves only the arena's amortized slab
 #      growth; the ceiling has ~3x headroom over the recorded value).
-#   3. The committed BENCH_PR8.json must not have regressed ns/op by
-#      more than 50% against any same-named benchmark in BENCH_PR7.json
-#      (generous threshold: wall-clock on shared CI hosts is noisy;
-#      the A/B minima in EXPERIMENTS.md are the precise record).
+#   3. The newest committed BENCH_PR<n>.json must not have regressed
+#      ns/op by more than 50% against any same-named benchmark in the
+#      one before it (generous threshold: wall-clock on shared CI hosts
+#      is noisy; the A/B minima in EXPERIMENTS.md are the precise
+#      record). The two snapshots are picked by PR number, not named.
 go test -race -count=1 -run 'ZeroAlloc' ./internal/vmm/
 bbt_bop="$(go test -run '^$' -bench 'BBTTranslateHot' -benchmem -benchtime 100x ./internal/bbt/ |
 	awk '/BenchmarkBBTTranslateHot/ {for (i=1; i<NF; i++) if ($(i+1) == "B/op") print $i}')"
 [ -n "$bbt_bop" ]
 [ "$bbt_bop" -le 600 ] || { echo "BBT translate $bbt_bop B/op exceeds 600 B/op ceiling"; exit 1; }
-go run ./scripts/benchjson -diff -fail-over 50 BENCH_PR9.json BENCH_PR10.json
+bench_nums="$(ls BENCH_PR*.json | sed 's/^BENCH_PR\([0-9]*\)\.json$/\1/' | sort -n | tail -2)"
+bench_old="BENCH_PR$(echo "$bench_nums" | head -1).json"
+bench_new="BENCH_PR$(echo "$bench_nums" | tail -1).json"
+go run ./scripts/benchjson -diff -fail-over 50 "$bench_old" "$bench_new"
 
 # Warm-start gate (persistent translation caches; DESIGN.md §10).
 # Four checks:
@@ -67,32 +66,34 @@ go run ./scripts/benchjson -diff -fail-over 50 BENCH_PR9.json BENCH_PR10.json
 #      in codecache plus the store-level corruption-degradation tests —
 #      a damaged snapshot must quarantine to .bad and rebuild, never
 #      feed a VM.
-#   2. Warm-mode determinism: every restore policy byte-identical
-#      across threaded/unthreaded × sequential/pipelined hosts, under
-#      race instrumentation on two procs, including a per-arm snapshot
-#      rebuild of the whole figure.
+#   2. Warm-mode behaviour: the restore policies' cost structure and
+#      cross-process snapshot reuse, under race instrumentation. The
+#      warmstart report, including a rebuild of its snapshot from
+#      cleared caches, is pinned by the golden gate below.
 #   3. FX!32 persist determinism: Cache.Save is sorted, so the persist
-#      and warmstart reports now ride the golden figure sweep below.
+#      report rides the golden gate below too.
 #   4. Wall-clock: a lazy warm-start sweep iteration must not run more
 #      than 25% slower than the cold iteration it replaces (it should
-#      be faster; the honest A/B minima live in EXPERIMENTS.md).
+#      be faster; the honest A/B minima live in EXPERIMENTS.md). Six
+#      iterations per side: one iteration is ~0.5 s with timing inline,
+#      and two of them swung ±30% between runs on a 2-CPU host.
 go test -race -count=1 -run 'TestPersist|TestSnapshot' ./internal/codecache/
-GOMAXPROCS=2 go test -race -count=1 -timeout 900s -run 'TestWarmModes|TestWarmSnapshot|TestGoldenWarmStartRebuild' \
+GOMAXPROCS=2 go test -race -count=1 -timeout 900s -run 'TestWarmModes|TestWarmSnapshot' \
 	./internal/vmm/ ./internal/experiments/
 warm_tmp="${TMPDIR:-/tmp}/warmsweep.$$"
-WARMSTART_BENCH_MODE=cold go test -run '^$' -bench 'WarmSweep' -benchtime 2x -count 1 . |
+WARMSTART_BENCH_MODE=cold go test -run '^$' -bench 'WarmSweep' -benchtime 6x -count 1 . |
 	go run ./scripts/benchjson > "$warm_tmp.cold.json"
-WARMSTART_BENCH_MODE=lazy go test -run '^$' -bench 'WarmSweep' -benchtime 2x -count 1 . |
+WARMSTART_BENCH_MODE=lazy go test -run '^$' -bench 'WarmSweep' -benchtime 6x -count 1 . |
 	go run ./scripts/benchjson > "$warm_tmp.lazy.json"
 go run ./scripts/benchjson -diff -fail-over 25 "$warm_tmp.cold.json" "$warm_tmp.lazy.json"
 rm -f "$warm_tmp.cold.json" "$warm_tmp.lazy.json"
 
-# The golden determinism sweep: the six figure reports plus the
-# persist and warmstart extension reports, byte-identical across
-# threaded/unthreaded dispatch and sequential/pipelined modes, under
-# race instrumentation on two procs (-count=1: GOMAXPROCS is not in
-# the test cache key).
-GOMAXPROCS=2 go test -race -count=1 -timeout 1800s -run 'TestGoldenReportsAcrossDispatchModes' \
+# The golden gate: the six figure reports, the persist, warmstart and
+# phases reports, and the warmstart report rebuilt from cleared caches
+# must match the committed bytes in internal/experiments/testdata/golden
+# exactly, under race instrumentation on two procs so the grid runs
+# concurrently.
+GOMAXPROCS=2 go test -race -count=1 -timeout 1800s -run 'TestGoldenReports' \
 	./internal/experiments/
 
 # Observability gate: every example must build, and the disabled-mode
@@ -100,9 +101,8 @@ GOMAXPROCS=2 go test -race -count=1 -timeout 1800s -run 'TestGoldenReportsAcross
 # TestHotPathAllocFree assert zero hot-path allocations with no recorder
 # attached and with the sampler unarmed (the deterministic half of the
 # <2% overhead budget; the timing half is the A/B record in
-# EXPERIMENTS.md). The Timeline/Trace tests are the cross-mode
-# determinism goldens for the interval sampler and the Chrome trace
-# export. The 1x ObsModes smoke keeps the disabled/metrics/jsonl
+# EXPERIMENTS.md). The Timeline/Trace tests cover the interval sampler
+# and the Chrome trace export. The 1x ObsModes smoke keeps the disabled/metrics/jsonl
 # benchmark harness itself from bit-rotting.
 go build -o "${TMPDIR:-/tmp}/obs-example.$$" ./examples/observability
 go build -o "${TMPDIR:-/tmp}/curves-example.$$" ./examples/startup_curves
@@ -112,15 +112,14 @@ go test -run '^$' -bench 'ObsModes' -benchtime=1x ./internal/vmm/
 
 # Cycle-attribution gate (DESIGN.md §11). The attrib unit suite pins
 # the exact-sum reconciliation and the collapsed-stack/merge formats;
-# the vmm tests pin the invariant end-to-end (every strategy, warm
-# mode, and pipeline mode sums bit-for-bit to the run's cycles); the
-# phases golden pins the whole figure byte-identical across the four
-# host modes under race instrumentation on two procs. The disabled-
-# cost alloc half (TestAttribDisabledZeroAlloc) already rides the
-# ZeroAlloc gate above.
+# the vmm tests pin the invariant end-to-end (every strategy and warm
+# mode sums bit-for-bit to the run's cycles); the phases report itself
+# is pinned byte for byte by the golden gate above. The disabled-cost
+# alloc half (TestAttribDisabledZeroAlloc) already rides the ZeroAlloc
+# gate above.
 go test -race -count=1 ./internal/obs/attrib/
 GOMAXPROCS=2 go test -race -count=1 -timeout 900s \
-	-run 'TestAttribExactSum|TestAttribPipelineBitIdentical|TestGoldenPhasesAcrossHostModes|TestPhasesFigInvariants|TestDefaultAttribSpec' \
+	-run 'TestAttribExactSum|TestPhasesFigInvariants|TestDefaultAttribSpec' \
 	./internal/vmm/ ./internal/experiments/
 
 # Live-introspection smoke: start a short sweep with -http on an
@@ -207,14 +206,14 @@ diff "$ci_tmp/sweep.single.txt" "$ci_tmp/sweep.distkill.txt"
 grep -q '^coordinator: worker 1 killed by seam$' "$ci_tmp/distkill.log"
 rm -rf "$ci_tmp"
 
-# Bench snapshots: the committed BENCH_PR9.json (regenerated by
-# scripts/bench.sh) and the BENCH_PR8.json baseline it is diffed
-# against must stay well-formed bench.v1 JSON. The trend gate then
+# Bench snapshots: the newest committed snapshot (regenerated by
+# scripts/bench.sh) and the baseline it is diffed against above must
+# stay well-formed bench JSON. The trend gate then
 # walks the whole committed series (docs/BENCH_TREND.md renders it):
 # the per-PR -diff above resets its baseline every PR, so N small
 # regressions compound invisibly; -trend compares the newest snapshot
 # against the median of the whole prior series and fails past 50%
 # (generous: cross-session wall clock on this host drifts ±10%).
-go run ./scripts/benchjson -check BENCH_PR9.json
-go run ./scripts/benchjson -check BENCH_PR10.json
+go run ./scripts/benchjson -check "$bench_old"
+go run ./scripts/benchjson -check "$bench_new"
 go run ./scripts/benchjson -trend -fail-over 50 BENCH_PR*.json > /dev/null
