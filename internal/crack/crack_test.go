@@ -7,6 +7,7 @@ import (
 	"codesignvm/internal/fisa"
 	"codesignvm/internal/interp"
 	"codesignvm/internal/x86"
+	"codesignvm/internal/x86/randasm"
 )
 
 // The differential harness: every randomly generated non-CTI instruction
@@ -15,226 +16,11 @@ import (
 // state and the data window must match exactly afterwards.
 
 const (
-	diffCodeBase = 0x400000
-	winBase      = 0x101F00
-	winSize      = 0x600
-	stackTop     = 0x103800
+	diffCodeBase = randasm.CodeBase
+	winBase      = randasm.WinBase
+	winSize      = randasm.WinSize
+	stackTop     = randasm.StackTop
 )
-
-type diffEnv struct {
-	rng *rand.Rand
-}
-
-// randState produces a random but memory-safe architected state: EBX/ESI
-// point into the data window, ECX/EDX are small indices, the rest hold
-// small values.
-func (d *diffEnv) randState() x86.State {
-	var st x86.State
-	st.R[x86.EAX] = d.rng.Uint32()
-	st.R[x86.ECX] = uint32(d.rng.Intn(64))
-	st.R[x86.EDX] = uint32(d.rng.Intn(64))
-	st.R[x86.EBX] = winBase + 0x100 + uint32(d.rng.Intn(0x100))
-	st.R[x86.ESP] = stackTop
-	st.R[x86.EBP] = uint32(d.rng.Intn(1024))
-	st.R[x86.ESI] = winBase + 0x100 + uint32(d.rng.Intn(0x100))
-	st.R[x86.EDI] = d.rng.Uint32()
-	if d.rng.Intn(2) == 0 {
-		st.Flags = x86.Flags(d.rng.Uint32()) & x86.FlagsAll
-	}
-	st.EIP = diffCodeBase
-	return st
-}
-
-// randMemOp produces a memory operand guaranteed to land in the window.
-func (d *diffEnv) randMemOp() x86.Operand {
-	switch d.rng.Intn(4) {
-	case 0:
-		return x86.MAbs(winBase + 0x200 + uint32(d.rng.Intn(0x100)))
-	case 1:
-		return x86.M(x86.EBX, int32(d.rng.Intn(128)-32))
-	case 2:
-		base := []x86.Reg{x86.EBX, x86.ESI}[d.rng.Intn(2)]
-		idx := []x86.Reg{x86.ECX, x86.EDX}[d.rng.Intn(2)]
-		scale := []uint8{1, 2, 4, 8}[d.rng.Intn(4)]
-		return x86.MSIB(base, idx, scale, int32(d.rng.Intn(64)-16))
-	default:
-		// Large displacement to force constant materialization.
-		return x86.M(x86.EBX, int32(d.rng.Intn(0x80))+0x40)
-	}
-}
-
-func (d *diffEnv) randReg() x86.Reg {
-	// Exclude ESP so the stack pointer stays valid.
-	r := x86.Reg(d.rng.Intn(8))
-	if r == x86.ESP {
-		r = x86.EDI
-	}
-	return r
-}
-
-// emitRandom emits one random non-CTI instruction and returns a label.
-func (d *diffEnv) emitRandom(a *x86.Asm) string {
-	r := d.rng
-	w := []uint8{1, 2, 4}[r.Intn(3)]
-	alu := []x86.Op{x86.ADD, x86.ADC, x86.SUB, x86.SBB, x86.AND, x86.OR, x86.XOR, x86.CMP}
-	switch r.Intn(17) {
-	case 0:
-		op := alu[r.Intn(len(alu))]
-		a.ALU(op, w, d.randMemOp(), x86.R(d.randReg()))
-		return "alu m,r"
-	case 1:
-		op := alu[r.Intn(len(alu))]
-		a.ALU(op, w, x86.R(d.randReg()), d.randMemOp())
-		return "alu r,m"
-	case 2:
-		op := alu[r.Intn(len(alu))]
-		imm := int32(int16(r.Uint32()))
-		if w == 1 {
-			imm = int32(int8(imm))
-		}
-		if r.Intn(2) == 0 {
-			a.ALUI(op, w, x86.R(d.randReg()), imm)
-		} else {
-			a.ALUI(op, w, d.randMemOp(), imm)
-		}
-		return "alu imm"
-	case 3:
-		if r.Intn(2) == 0 {
-			a.Mov(w, d.randMemOp(), x86.R(d.randReg()))
-		} else {
-			a.Mov(w, x86.R(d.randReg()), d.randMemOp())
-		}
-		return "mov r/m"
-	case 4:
-		if r.Intn(2) == 0 {
-			a.MovRI(d.randReg(), r.Uint32())
-		} else {
-			a.MovMI(w, d.randMemOp(), int32(r.Uint32()))
-		}
-		return "mov imm"
-	case 5:
-		sw := []uint8{1, 2}[r.Intn(2)]
-		var src x86.Operand
-		if r.Intn(2) == 0 {
-			src = d.randMemOp()
-		} else {
-			src = x86.R(d.randReg())
-		}
-		if r.Intn(2) == 0 {
-			a.Movzx(d.randReg(), src, sw)
-		} else {
-			a.Movsx(d.randReg(), src, sw)
-		}
-		return "movzx/sx"
-	case 6:
-		a.Lea(d.randReg(), d.randMemOp())
-		return "lea"
-	case 7:
-		if r.Intn(2) == 0 {
-			a.Test(w, d.randMemOp(), d.randReg())
-		} else {
-			a.TestI(w, x86.R(d.randReg()), int32(int16(r.Uint32())))
-		}
-		return "test"
-	case 8:
-		switch r.Intn(4) {
-		case 0:
-			a.Inc(d.randReg())
-		case 1:
-			a.Dec(d.randReg())
-		case 2:
-			a.IncM(w, d.randMemOp())
-		default:
-			a.DecM(w, d.randMemOp())
-		}
-		return "inc/dec"
-	case 9:
-		if r.Intn(2) == 0 {
-			a.Neg(w, d.randMemOp())
-		} else {
-			a.Not(w, x86.R(d.randReg()))
-		}
-		return "neg/not"
-	case 10:
-		if r.Intn(2) == 0 {
-			a.Imul(d.randReg(), x86.R(d.randReg()))
-		} else {
-			a.ImulI(d.randReg(), d.randMemOp(), int32(int16(r.Uint32())))
-		}
-		return "imul"
-	case 11:
-		op := []x86.Op{x86.SHL, x86.SHR, x86.SAR}[r.Intn(3)]
-		switch r.Intn(3) {
-		case 0:
-			a.ShiftI(op, w, x86.R(d.randReg()), uint8(r.Intn(32)))
-		case 1:
-			a.ShiftI(op, w, d.randMemOp(), uint8(1+r.Intn(31)))
-		default:
-			a.ShiftCL(op, w, x86.R(d.randReg()))
-		}
-		return "shift"
-	case 12:
-		switch r.Intn(3) {
-		case 0:
-			a.Push(d.randReg())
-		case 1:
-			a.PushI(int32(r.Uint32()))
-		default:
-			a.Pop(d.randReg())
-		}
-		return "push/pop"
-	case 13:
-		if r.Intn(2) == 0 {
-			a.Setcc(x86.Cond(r.Intn(16)), x86.R(x86.Reg(r.Intn(8))))
-		} else {
-			a.Setcc(x86.Cond(r.Intn(16)), d.randMemOp())
-		}
-		return "setcc"
-	case 14:
-		a.Cdq()
-		return "cdq"
-	case 15:
-		switch r.Intn(3) {
-		case 0:
-			if r.Intn(2) == 0 {
-				a.Xchg(w, x86.R(d.randReg()), d.randReg())
-			} else {
-				a.Xchg(w, d.randMemOp(), d.randReg())
-			}
-			return "xchg"
-		case 1:
-			if r.Intn(2) == 0 {
-				a.Cmov(x86.Cond(r.Intn(16)), d.randReg(), x86.R(d.randReg()))
-			} else {
-				a.Cmov(x86.Cond(r.Intn(16)), d.randReg(), d.randMemOp())
-			}
-			return "cmov"
-		default:
-			op := []x86.Op{x86.ROL, x86.ROR}[r.Intn(2)]
-			if r.Intn(2) == 0 {
-				a.ShiftI(op, w, x86.R(d.randReg()), uint8(r.Intn(32)))
-			} else {
-				a.ShiftCL(op, w, d.randMemOp())
-			}
-			return "rotate"
-		}
-	default:
-		a.Nop()
-		return "nop"
-	}
-}
-
-// fillWindow writes deterministic pseudo-random bytes over the data
-// window and stack region.
-func fillWindow(mem *x86.Memory, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	for i := uint32(0); i < winSize; i += 4 {
-		mem.Write32(winBase+i, rng.Uint32())
-	}
-	for i := uint32(0); i < 64; i += 4 {
-		mem.Write32(stackTop-32+i, rng.Uint32())
-	}
-}
 
 func memEqual(a, b *x86.Memory) (uint32, bool) {
 	for i := uint32(0); i < winSize; i++ {
@@ -252,10 +38,10 @@ func memEqual(a, b *x86.Memory) (uint32, bool) {
 }
 
 func TestCrackDifferential(t *testing.T) {
-	d := &diffEnv{rng: rand.New(rand.NewSource(1152))}
+	d := &randasm.Gen{Rand: rand.New(rand.NewSource(1152))}
 	for iter := 0; iter < 8000; iter++ {
 		a := x86.NewAsm(diffCodeBase)
-		what := d.emitRandom(a)
+		what := d.Emit(a)
 		code, err := a.Finalize()
 		if err != nil {
 			t.Fatalf("iter %d (%s): assemble: %v", iter, what, err)
@@ -265,13 +51,13 @@ func TestCrackDifferential(t *testing.T) {
 			t.Fatalf("iter %d (%s): decode % x: %v", iter, what, code, err)
 		}
 
-		st0 := d.randState()
+		st0 := d.RandState()
 		seed := int64(iter) * 7919
 
 		// Golden path: interpreter.
 		memI := x86.NewMemory()
 		memI.WriteBytes(diffCodeBase, code)
-		fillWindow(memI, seed)
+		randasm.FillWindow(memI, seed)
 		stI := st0
 		mi := interp.New(&stI, memI)
 		if err := mi.Exec(in); err != nil {
@@ -289,7 +75,7 @@ func TestCrackDifferential(t *testing.T) {
 		uops = append(uops, fisa.MicroOp{Op: fisa.UEXIT, W: 4})
 		memC := x86.NewMemory()
 		memC.WriteBytes(diffCodeBase, code)
-		fillWindow(memC, seed)
+		randasm.FillWindow(memC, seed)
 		var nst fisa.NativeState
 		nst.LoadArch(&st0)
 		kind, _, err := fisa.Exec(&fisa.Env{St: &nst, Mem: memC}, uops, 0, &fisa.ExecStats{})
@@ -420,11 +206,11 @@ func TestRetLoadsTarget(t *testing.T) {
 // mix: the average should land in the 1.2-2.5 µops per x86 instruction
 // range typical of x86 implementations.
 func TestCrackDensity(t *testing.T) {
-	d := &diffEnv{rng: rand.New(rand.NewSource(7))}
+	d := &randasm.Gen{Rand: rand.New(rand.NewSource(7))}
 	totalUops, totalInsts := 0, 0
 	for i := 0; i < 2000; i++ {
 		a := x86.NewAsm(diffCodeBase)
-		d.emitRandom(a)
+		d.Emit(a)
 		code, err := a.Finalize()
 		if err != nil {
 			t.Fatal(err)

@@ -41,6 +41,9 @@ type FS interface {
 	// CreateTemp mirrors os.CreateTemp (pattern semantics included).
 	CreateTemp(dir, pattern string) (File, error)
 	Rename(oldpath, newpath string) error
+	// Link mirrors os.Link: it fails if newname exists, which is what
+	// makes a lock's creation and its content one step.
+	Link(oldname, newname string) error
 	Remove(name string) error
 	Stat(name string) (os.FileInfo, error)
 	Chtimes(name string, atime, mtime time.Time) error
@@ -68,6 +71,7 @@ func (Disk) CreateTemp(dir, pattern string) (File, error) {
 	return f, nil
 }
 func (Disk) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
+func (Disk) Link(oldname, newname string) error   { return os.Link(oldname, newname) }
 func (Disk) Remove(name string) error             { return os.Remove(name) }
 func (Disk) Stat(name string) (os.FileInfo, error) {
 	return os.Stat(name)
@@ -97,11 +101,12 @@ const (
 	OpMkdir
 	OpChtimes
 	OpReadDir
+	OpLink
 	NumOps
 )
 
 func (o Op) String() string {
-	names := [NumOps]string{"create", "write", "rename", "remove", "read", "stat", "mkdir", "chtimes", "readdir"}
+	names := [NumOps]string{"create", "write", "rename", "remove", "read", "stat", "mkdir", "chtimes", "readdir", "link"}
 	if o < NumOps {
 		return names[o]
 	}
@@ -266,6 +271,16 @@ func (in *Injector) Rename(oldpath, newpath string) error {
 		return fire(f)
 	}
 	return in.inner.Rename(oldpath, newpath)
+}
+
+// Link matches faults against newname, the path it creates.
+func (in *Injector) Link(oldname, newname string) error {
+	if f, err := in.check(OpLink, newname); err != nil {
+		return err
+	} else if f != nil {
+		return fire(f)
+	}
+	return in.inner.Link(oldname, newname)
 }
 
 func (in *Injector) Remove(name string) error {

@@ -106,7 +106,8 @@ func PhasesFig(opt Options) (*PhasesCurves, error) {
 
 	// The (app × arm) grid runs on the bounded pool, each task writing
 	// its own flat slot; warm arms share one snapshot per app (the
-	// snapshot cache single-flights the cold producer).
+	// snapshot cache single-flights the cold producer, whose run the
+	// cold arm reuses through coldFirst).
 	na := len(phasesArms)
 	flat := make([]*vmm.Result, len(opt.Apps)*na)
 	err := opt.forEachTask(len(flat), func(i int) error {
@@ -116,6 +117,8 @@ func PhasesFig(opt Options) (*PhasesCurves, error) {
 		var snapFn snapFunc
 		if arm.mode != vmm.WarmOff {
 			snapFn = opt.snapshotFor(cold, app, opt.LongInstrs)
+		} else if err := opt.coldFirst(cold, app); err != nil {
+			return fmt.Errorf("%s arm %s: %w", app, arm.name, err)
 		}
 		res, err := opt.runAppWarm(cfg, app, opt.LongInstrs, snapFn)
 		if err != nil {

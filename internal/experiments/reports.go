@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"codesignvm/internal/interp"
@@ -47,20 +48,36 @@ func Fig3(opt Options) (*Fig3Report, error) {
 		mem := prog.Memory()
 		st := prog.InitState()
 		m := interp.New(st, mem)
-		counts := make(map[uint32]uint64, prog.StaticInstrs*2)
+		// Execution counts: one uint32 per byte of the code segment
+		// (no count can exceed the trace length), a map for any PC
+		// outside it.
+		var dense []uint32
+		if opt.ShortInstrs <= math.MaxUint32 {
+			dense = make([]uint32, len(prog.Code))
+		}
+		sparse := map[uint32]uint64{}
 		for i := uint64(0); i < opt.ShortInstrs && !m.Halted; i++ {
-			counts[st.EIP]++
+			if off := st.EIP - workload.CodeBase; off < uint32(len(dense)) {
+				dense[off]++
+			} else {
+				sparse[st.EIP]++
+			}
 			if _, err := m.Step(); err != nil {
 				return fmt.Errorf("%s: %w", app, err)
 			}
 		}
 		hot := uint64(0)
-		for _, c := range counts {
+		for _, c := range dense {
+			if uint64(c) >= rep.HotThreshold {
+				hot++
+			}
+		}
+		for _, c := range sparse {
 			if c >= rep.HotThreshold {
 				hot++
 			}
 		}
-		profiles[ai] = appProfile{hist: metrics.BuildHistogram(counts), hot: hot}
+		profiles[ai] = appProfile{hist: metrics.BuildHistogram(dense, sparse), hot: hot}
 		return nil
 	})
 	if err != nil {

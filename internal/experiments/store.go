@@ -35,8 +35,9 @@ import (
 // trailing-EOF check reject truncated, bit-flipped or extended files;
 // corrupt entries are quarantined to a `.bad` sidecar and re-simulated.
 //
-// Concurrent processes single-flight through a <hash>.lock file
-// (O_CREATE|O_EXCL) whose owner refreshes its mtime from a heartbeat
+// Concurrent processes single-flight through a <hash>.lock file (a
+// token-holding temp file hard-linked to the lock name, which fails if
+// the lock exists) whose owner refreshes its mtime from a heartbeat
 // goroutine; waiters poll with exponential backoff under a hard
 // deadline and steal locks whose mtime goes stale (owner crashed)
 // through a marker-arbitrated rename, so exactly one waiter wins a
@@ -357,30 +358,35 @@ func (s *runStore) acquire(key, artifact string) (release func(), won bool, err 
 	}
 }
 
-// tryLock attempts the O_CREATE|O_EXCL lock creation. ok means the
-// lock was taken (release stops the heartbeat and removes the lock if
-// still owned); fatal means locking is impossible (read-only store,
-// dead filesystem) and the caller should simulate without it.
+// tryLock takes the lock by writing the owner token to a temp file and
+// linking it to the lock name, which fails if the lock exists. A lock
+// therefore never exists without its token: a process killed at any
+// point leaves no lock, or one whose token names it (a killed writer's
+// temp file is removed by gc). ok means the lock was taken (release
+// stops the heartbeat and removes the lock if still owned); fatal means
+// locking is impossible (read-only store, dead filesystem, no hard
+// links) and the caller should simulate without it.
 func (s *runStore) tryLock(lock string) (release func(), ok, fatal bool) {
-	f, err := s.fs.OpenFile(lock, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		if os.IsExist(err) {
-			return nil, false, false
-		}
-		return func() {}, false, true // unexpected lock failure: simulate
-	}
 	// The token identifies this owner; release verifies it before
 	// removing so a release after a (mistaken) steal cannot delete the
 	// next owner's live lock.
 	token := fmt.Sprintf("pid %d seq %d t %d\n", os.Getpid(), lockSeq.Add(1), time.Now().UnixNano())
-	_, werr := io.WriteString(f, token)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
+	tmp, err := s.fs.CreateTemp(s.dir, filepath.Base(lock)+".tmp*")
+	if err != nil {
+		return func() {}, false, true // unexpected lock failure: simulate
 	}
-	if werr != nil {
-		// Half-written token: our own release could not verify it.
-		// Withdraw the lock (best-effort) and simulate unprotected.
-		s.fs.Remove(lock)
+	_, err = io.WriteString(tmp, token)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = s.fs.Link(tmp.Name(), lock)
+	}
+	s.fs.Remove(tmp.Name())
+	if err != nil {
+		if os.IsExist(err) {
+			return nil, false, false
+		}
 		return func() {}, false, true
 	}
 	stop := make(chan struct{})
@@ -609,7 +615,7 @@ func decodeResult(data []byte) (*vmm.Result, error) {
 	if got, want := crc32.Checksum(payload, crcTable), binary.LittleEndian.Uint32(trailer); got != want {
 		return nil, fmt.Errorf("experiments: run record checksum mismatch (got %08x, want %08x)", got, want)
 	}
-	br := bufio.NewReader(bytes.NewReader(payload))
+	br := bytes.NewReader(payload)
 	res, err := readResult(br)
 	if err != nil {
 		return nil, err
@@ -759,7 +765,7 @@ func writeResult(w *bufio.Writer, r *vmm.Result) error {
 }
 
 // readResult decodes what writeResult wrote.
-func readResult(br *bufio.Reader) (*vmm.Result, error) {
+func readResult(br *bytes.Reader) (*vmm.Result, error) {
 	magic := make([]byte, len(runMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, err

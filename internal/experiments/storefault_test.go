@@ -158,6 +158,38 @@ func TestRunStoreReadOnlyStore(t *testing.T) {
 	}
 }
 
+// TestRunStoreKillAtTokenWriteLeavesNoLock: a contender killed while
+// writing its lock token leaves no lock file, since a lock without its
+// token matches no pid and survivors would wait out lockStale. A live
+// process then takes the lock at once.
+func TestRunStoreKillAtTokenWriteLeavesNoLock(t *testing.T) {
+	s, in := faultStore(t, &faultfs.Fault{Op: faultfs.OpWrite, Path: ".lock", Kill: true})
+	key := "k1ll"
+	release, won, err := s.acquire(key, s.runPath(key))
+	if err != nil || !won {
+		t.Fatalf("a dead store must degrade to simulating, got (won=%v err=%v)", won, err)
+	}
+	release()
+	if !in.Dead() {
+		t.Fatal("the token write was never reached")
+	}
+	ents, err := os.ReadDir(s.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if strings.HasSuffix(e.Name(), ".lock") {
+			t.Fatalf("kill at the token write left lock %s", e.Name())
+		}
+	}
+	live := &runStore{dir: s.dir, fs: faultfs.Disk{}, tun: s.tun, ctx: context.Background()}
+	rel, ok, fatal := live.tryLock(live.lockPath(key))
+	if !ok || fatal {
+		t.Fatalf("a live process could not take the lock (ok=%v fatal=%v)", ok, fatal)
+	}
+	rel()
+}
+
 // TestRunStoreMkdirFailure: an uncreatable store directory degrades the
 // same way — save errors, acquire simulates unprotected.
 func TestRunStoreMkdirFailure(t *testing.T) {

@@ -178,6 +178,9 @@ func (o Options) buildSnapshot(cold vmm.Config, app string, scale int, instrs ui
 	if err != nil {
 		return nil, nil, err
 	}
+	// Run's result points into the VM; the run cache keeps a copy so
+	// the producer VM can be collected.
+	res = cloneResult(res)
 	if s := o.store(); s != nil {
 		s.save(runFileKey(cold, app, scale, instrs, o.attribKey()), res) // best-effort
 	}
@@ -190,6 +193,16 @@ func (o Options) buildSnapshot(cold vmm.Config, app string, scale int, instrs ui
 		entry.once.Do(func() { entry.res = res })
 	}
 	return snap, buf.Bytes(), nil
+}
+
+// coldFirst obtains the snapshot of app's cold run before the cold arm
+// of a warm-start grid looks its run up. Producing the snapshot is a
+// complete cold run, which buildSnapshot seeds into the run cache, so
+// the arm finds it there. Without this the arm and the producer race
+// and both simulate.
+func (o Options) coldFirst(cold vmm.Config, app string) error {
+	_, err := o.snapshot(cold, app, o.LongInstrs)
+	return err
 }
 
 // warmArms defines the figure's arms in display order: the reference
@@ -260,7 +273,8 @@ func WarmStartFig(opt Options) (*WarmStartCurves, error) {
 	// The (app × arm) grid runs on the bounded pool, each task writing
 	// its own flat slot. Warm arms share one snapshot per app; the
 	// snapshot cache single-flights its production, so however the pool
-	// schedules the arms, the cold producer runs once.
+	// schedules the arms, the cold producer runs once, and it is also
+	// the cold arm's run (coldFirst).
 	na := len(warmArms)
 	flat := make([]*vmm.Result, len(opt.Apps)*na)
 	err := opt.forEachTask(len(flat), func(i int) error {
@@ -274,6 +288,8 @@ func WarmStartFig(opt Options) (*WarmStartCurves, error) {
 			cfg.WarmStart = arm.mode
 			if arm.mode != vmm.WarmOff {
 				snapFn = opt.snapshotFor(cold, app, opt.LongInstrs)
+			} else if err := opt.coldFirst(cold, app); err != nil {
+				return fmt.Errorf("%s arm %s: %w", app, arm.name, err)
 			}
 		}
 		res, err := opt.runAppWarm(cfg, app, opt.LongInstrs, snapFn)

@@ -9,6 +9,7 @@ import (
 	"codesignvm/internal/codecache"
 	"codesignvm/internal/experiments/faultfs"
 	"codesignvm/internal/machine"
+	"codesignvm/internal/obs"
 	"codesignvm/internal/vmm"
 )
 
@@ -209,5 +210,37 @@ func TestWarmSnapshotTruncationAtSectionBoundary(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(s.dir, key+".bad")); err != nil {
 		t.Errorf("truncated snapshot not quarantined: %v", err)
+	}
+}
+
+// TestColdArmReusesSnapshotRun pins how many runs a one-app warm-start
+// and phases figure start: one per arm. The snapshot producer's cold
+// run is the cold arm's run, so the cold arm must not simulate again.
+func TestColdArmReusesSnapshotRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(Options) error
+		want uint64
+	}{
+		{"warmstart", func(o Options) error { _, err := WarmStartFig(o); return err }, uint64(len(warmArms))},
+		{"phases", func(o Options) error { _, err := PhasesFig(o); return err }, uint64(len(phasesArms))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resetSnapCacheForTest()
+			resetRunCacheForTest()
+			o := detOpt()
+			o.FreshRuns = false
+			o.Apps = []string{"Word"}
+			o.Obs = obs.NewObserver(nil)
+			if err := tc.run(o); err != nil {
+				t.Fatal(err)
+			}
+			if got := o.Obs.Proc.Counter("runs.started", "runs").Value(); got != tc.want {
+				t.Fatalf("runs.started = %d, want %d (one per arm)", got, tc.want)
+			}
+		})
 	}
 }

@@ -5,6 +5,27 @@
 // complex-class instructions on behalf of translated code (the VMM
 // callout path), and as the golden reference model for differential
 // testing of every translator.
+//
+// # Decode cache
+//
+// Step decodes each instruction once and keeps the decode in a
+// per-Machine cache keyed by address, so the host pays x86 decode on
+// first touch only: the cost the paper's interpreter pays on every
+// dynamic instruction, which BBT and SBT exist to amortise. The cache
+// is allocated on the first Step, so a Machine used only through Exec
+// pays nothing.
+//
+// Invalidation is by generation (x86.Memory.WatchCode and CodeGen).
+// Every page a cached decode read from is watched, including the second
+// page of an instruction that straddles two. The first store to a
+// watched page, by any writer of that Memory (this interpreter, the
+// VMM's translated code, a test), moves the generation. Step compares
+// the generation before each lookup and drops the whole cache when it
+// has moved, so self-modifying code always executes its current bytes.
+// Stores to pages holding no cached decode never move it. What the
+// engine's stores pay is described on x86.Memory: the watch flag sits
+// in the page-translation entry they already check, so a store to an
+// unwatched page costs what it did before the cache existed.
 package interp
 
 import (
@@ -27,6 +48,8 @@ type Machine struct {
 	Mem    *x86.Memory
 	Halted bool
 	Icount uint64 // retired x86 instructions
+
+	dc *decodeCache // nil until the first Step
 }
 
 // New returns an interpreter over the given state and memory.
@@ -34,19 +57,87 @@ func New(st *x86.State, mem *x86.Memory) *Machine {
 	return &Machine{St: st, Mem: mem}
 }
 
-// Step decodes the instruction at EIP and executes it.
+// Step decodes the instruction at EIP, through the decode cache, and
+// executes it.
 func (m *Machine) Step() (x86.Inst, error) {
 	if m.Halted {
 		return x86.Inst{}, ErrHalted
 	}
-	in, err := x86.DecodeMem(m.Mem, m.St.EIP)
+	in, err := m.decode(m.St.EIP)
 	if err != nil {
-		return in, fmt.Errorf("at %#x: %w", m.St.EIP, err)
+		return x86.Inst{}, fmt.Errorf("at %#x: %w", m.St.EIP, err)
 	}
-	if err := m.Exec(in); err != nil {
-		return in, err
+	err = m.exec(in)
+	return *in, err
+}
+
+// decodeCache holds the decodes Step made from one Memory at one code
+// generation.
+type decodeCache struct {
+	mem   *x86.Memory
+	gen   uint64
+	ways  [codeWays]codeWay
+	pages map[uint32]*codePage // every page in ways, and those evicted
+}
+
+// codeWays is the size of the direct-mapped table in front of the page
+// map: a hot loop touches a handful of code pages.
+const codeWays = 16
+
+type codeWay struct {
+	idx uint32 // page index; valid when p != nil
+	p   *codePage
+}
+
+// codePage maps each offset of one page to a slot in its slab of
+// decodes. The slab grows a fixed-size chunk at a time, so growing it
+// copies nothing and leaves no garbage.
+type codePage struct {
+	slot   [x86.PageSize]uint16 // 1 + index into the slab; 0 = not decoded
+	chunks []*[chunkLen]x86.Inst
+	n      int // decodes in the slab
+}
+
+// chunkLen is the number of decodes per slab chunk (2.3 KB).
+const chunkLen = 64
+
+// decode returns the decode of the instruction at pc, from the cache
+// when it holds one for the current code generation.
+func (m *Machine) decode(pc uint32) (*x86.Inst, error) {
+	c := m.dc
+	if c == nil || c.mem != m.Mem || c.gen != m.Mem.CodeGen() {
+		c = &decodeCache{mem: m.Mem, gen: m.Mem.CodeGen(), pages: map[uint32]*codePage{}}
+		m.dc = c
 	}
-	return in, nil
+	idx := pc / x86.PageSize
+	w := &c.ways[idx%codeWays]
+	if w.p == nil || w.idx != idx {
+		p := c.pages[idx]
+		if p == nil {
+			p = new(codePage)
+			c.pages[idx] = p
+		}
+		*w = codeWay{idx, p}
+	}
+	p := w.p
+	off := pc % x86.PageSize
+	if s := int(p.slot[off]) - 1; s >= 0 {
+		return &p.chunks[s/chunkLen][s%chunkLen], nil
+	}
+	in, err := x86.DecodeMem(m.Mem, pc)
+	if err != nil {
+		return nil, err
+	}
+	m.Mem.WatchCode(pc)
+	m.Mem.WatchCode(pc + uint32(in.Len) - 1)
+	if p.n%chunkLen == 0 {
+		p.chunks = append(p.chunks, new([chunkLen]x86.Inst))
+	}
+	dst := &p.chunks[p.n/chunkLen][p.n%chunkLen]
+	*dst = in
+	p.n++
+	p.slot[off] = uint16(p.n)
+	return dst, nil
 }
 
 // Run executes up to limit instructions, stopping early on HLT. It
@@ -83,7 +174,9 @@ func (m *Machine) write(op x86.Operand, v uint32, width uint8) {
 
 // Exec executes a pre-decoded instruction. The machine's EIP must be the
 // address the instruction was decoded from; Exec advances it.
-func (m *Machine) Exec(in x86.Inst) error {
+func (m *Machine) Exec(in x86.Inst) error { return m.exec(&in) }
+
+func (m *Machine) exec(in *x86.Inst) error {
 	st := m.St
 	next := st.EIP + uint32(in.Len)
 	w := in.Width
@@ -351,7 +444,7 @@ func (m *Machine) Exec(in x86.Inst) error {
 	return nil
 }
 
-func (m *Machine) doMovs(in x86.Inst) {
+func (m *Machine) doMovs(in *x86.Inst) {
 	st := m.St
 	step := uint32(in.Width)
 	count := uint32(1)
@@ -367,7 +460,7 @@ func (m *Machine) doMovs(in x86.Inst) {
 	}
 }
 
-func (m *Machine) doStos(in x86.Inst) {
+func (m *Machine) doStos(in *x86.Inst) {
 	st := m.St
 	step := uint32(in.Width)
 	count := uint32(1)

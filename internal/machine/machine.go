@@ -108,7 +108,19 @@ func RunConfigWarm(cfg vmm.Config, prog *workload.Program, maxInstrs uint64, rec
 			return nil, err
 		}
 	}
-	return vm.Run(maxInstrs)
+	return detach(vm.Run(maxInstrs))
+}
+
+// detach copies a finished run's Result out of its VM. Run returns a
+// pointer into the VM, and a caller that keeps that pointer (the run
+// caches keep every result) would keep the whole VM alive with it:
+// caches, translation arenas, timing engine and memory.
+func detach(res *vmm.Result, err error) (*vmm.Result, error) {
+	if err != nil {
+		return res, err
+	}
+	out := *res
+	return &out, nil
 }
 
 // NewVM constructs a VM for a model over the program without running it

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"runtime"
 	"testing"
 
 	"codesignvm/internal/metrics"
@@ -95,4 +96,36 @@ func TestRunConfigOverride(t *testing.T) {
 	if res.SBTTranslations != 0 {
 		t.Errorf("threshold override ignored: %d superblocks", res.SBTTranslations)
 	}
+}
+
+// TestRunConfigResultDoesNotPinVM: a kept Result must not keep its VM
+// (caches, translation arenas, timing engine, memory) reachable. The
+// run caches keep every result, so a pinned VM per run grew a sweep's
+// heap by the VM footprint of every run it made.
+func TestRunConfigResultDoesNotPinVM(t *testing.T) {
+	prog, err := workload.App("Word", 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 8
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	base := ms.HeapAlloc
+	kept := make([]*vmm.Result, 0, runs)
+	for i := 0; i < runs; i++ {
+		res, err := RunConfig(Config(VMSoft), prog, 50_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept = append(kept, res)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	// A VM.soft VM holds well over a megabyte; eight kept results and
+	// their samples hold a few kilobytes.
+	if grown := int64(ms.HeapAlloc) - int64(base); grown > 2<<20 {
+		t.Fatalf("heap grew %d bytes while keeping %d results: the results pin their VMs", grown, runs)
+	}
+	runtime.KeepAlive(kept)
 }

@@ -168,14 +168,16 @@ type Histogram struct {
 }
 
 // BuildHistogram aggregates per-instruction execution counts into decade
-// buckets (1+, 10+, 100+, ... 10M+).
-func BuildHistogram(counts map[uint32]uint64) Histogram {
+// buckets (1+, 10+, 100+, ... 10M+). The counts come in two parts that
+// share no instruction: dense holds one count per address of a code
+// range (0 where nothing ran) and sparse the instructions outside it.
+func BuildHistogram(dense []uint32, sparse map[uint32]uint64) Histogram {
 	const nb = 8
 	h := Histogram{Buckets: make([]uint64, nb), DynFrac: make([]float64, nb)}
-	dyn := make([]uint64, nb)
-	for _, c := range counts {
+	var dyn [nb]uint64
+	add := func(c uint64) {
 		if c == 0 {
-			continue
+			return
 		}
 		b := 0
 		for v := c; v >= 10 && b < nb-1; v /= 10 {
@@ -185,6 +187,12 @@ func BuildHistogram(counts map[uint32]uint64) Histogram {
 		dyn[b] += c
 		h.Total++
 		h.DynTotal += c
+	}
+	for _, c := range dense {
+		add(uint64(c))
+	}
+	for _, c := range sparse {
+		add(c)
 	}
 	for i := range dyn {
 		if h.DynTotal > 0 {

@@ -170,7 +170,7 @@ func TestHistogram(t *testing.T) {
 		7: 12345,    // bucket 4 (10K+)
 		8: 20000000, // bucket 7 (10M+, clamped)
 	}
-	h := BuildHistogram(counts)
+	h := BuildHistogram(nil, counts)
 	if h.Total != 8 {
 		t.Errorf("total = %d", h.Total)
 	}

@@ -820,12 +820,8 @@ func (v *VM) executeFused(t *codecache.Translation, cat Category) error {
 func (v *VM) calloutExec(pc uint32) error {
 	v.nst.StoreArch(&v.arch)
 	v.arch.EIP = pc
-	in, err := x86.DecodeMem(v.Mem, pc)
-	if err != nil {
-		return err
-	}
 	v.itp.Halted = false
-	if err := v.itp.Exec(in); err != nil {
+	if _, err := v.itp.Step(); err != nil {
 		return fmt.Errorf("vmm: callout at %#x: %w", pc, err)
 	}
 	v.nst.LoadArch(&v.arch)

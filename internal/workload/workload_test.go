@@ -81,6 +81,11 @@ func TestProgramsExecute(t *testing.T) {
 			if ran != n {
 				t.Fatalf("ran %d of %d", ran, n)
 			}
+			// The interpreter's decode cache lives as long as no store
+			// hits a page it decoded from.
+			if g := mem.CodeGen(); g != 0 {
+				t.Fatalf("program stored into its own code (code generation %d)", g)
+			}
 		})
 	}
 }

@@ -11,26 +11,53 @@ type page [PageSize]byte
 // array probe.
 const tlbSize = 64
 
+// noPage is an impossible page index (the address space has 2^20
+// pages).
+const noPage = ^uint32(0)
+
 type tlbEntry struct {
-	idx uint32
-	p   *page
+	idx uint32 // page index, for reads
+	// widx is the page index for stores: idx, or noPage while the page
+	// is watched (see WatchCode), so a store to a watched page takes
+	// ensure's slow path with no extra test on the fast one.
+	widx uint32
+	p    *page
+}
+
+// pageRef is one entry of the page map. wmask is noPage while the page
+// is watched (see WatchCode) and 0 otherwise, so idx|wmask is the
+// page's widx in the translation cache.
+type pageRef struct {
+	p     *page
+	wmask uint32
 }
 
 // Memory is a sparse, paged, little-endian 32-bit address space. Reads of
 // unmapped memory return zero bytes; writes allocate pages on demand.
+//
+// Memory also keeps a code-page write watch for decoders that cache
+// what they decoded (interp.Machine does). A decoder calls WatchCode on
+// every page its decodes read and drops its cache when CodeGen moves.
+// The first store to a watched page moves the generation and clears
+// every watch, since every decoder drops everything it cached when the
+// generation moves. The watch flag lives in the page map and its
+// translation cache, so a store pays no extra branch.
 type Memory struct {
-	pages map[uint32]*page
+	pages map[uint32]pageRef
 
 	// Direct-mapped translation cache over pages (host-side only; no
 	// simulated-machine semantics).
 	tlb [tlbSize]tlbEntry
+
+	codeGen uint64   // moves on the first store to a watched page
+	watched []uint32 // indices of the watched pages
 }
 
 // NewMemory returns an empty address space.
 func NewMemory() *Memory {
-	m := &Memory{pages: make(map[uint32]*page)}
+	m := &Memory{pages: make(map[uint32]pageRef)}
 	for i := range m.tlb {
-		m.tlb[i].idx = ^uint32(0) // impossible page index (addr space has 2^20 pages)
+		m.tlb[i].idx, m.tlb[i].widx = noPage, noPage
 	}
 	return m
 }
@@ -41,27 +68,71 @@ func (m *Memory) lookup(addr uint32) *page {
 	if e.idx == idx {
 		return e.p
 	}
-	p := m.pages[idx]
-	if p != nil {
-		e.idx, e.p = idx, p
+	r := m.pages[idx]
+	if r.p != nil {
+		*e = tlbEntry{idx: idx, widx: idx | r.wmask, p: r.p}
 	}
-	return p
+	return r.p
 }
 
 func (m *Memory) ensure(addr uint32) *page {
 	idx := addr / PageSize
-	e := &m.tlb[idx%tlbSize]
-	if e.idx == idx {
+	if e := &m.tlb[idx%tlbSize]; e.widx == idx {
 		return e.p
 	}
-	p := m.pages[idx]
-	if p == nil {
-		p = new(page)
-		m.pages[idx] = p
-	}
-	e.idx, e.p = idx, p
-	return p
+	return m.ensureSlow(idx)
 }
+
+// ensureSlow is ensure's path for a translation-cache miss or a store
+// to a watched page idx. It maps the page if it is not mapped yet, and a
+// store to a watched page moves the code generation and clears every
+// watch.
+//
+//go:noinline
+func (m *Memory) ensureSlow(idx uint32) *page {
+	r := m.pages[idx]
+	if r.p == nil {
+		r.p = new(page)
+		m.pages[idx] = r
+	}
+	if r.wmask != 0 {
+		m.codeGen++
+		for _, w := range m.watched {
+			m.pages[w] = pageRef{p: m.pages[w].p}
+			if e := &m.tlb[w%tlbSize]; e.idx == w {
+				e.widx = w
+			}
+		}
+		m.watched = m.watched[:0]
+	}
+	m.tlb[idx%tlbSize] = tlbEntry{idx: idx, widx: idx, p: r.p}
+	return r.p
+}
+
+// WatchCode watches the page holding addr for stores: until CodeGen
+// next moves, the first store to that page moves it. The page is mapped
+// if it was not, which changes no byte a read returns.
+func (m *Memory) WatchCode(addr uint32) {
+	idx := addr / PageSize
+	r := m.pages[idx]
+	if r.wmask != 0 {
+		return
+	}
+	if r.p == nil {
+		r.p = new(page)
+	}
+	r.wmask = noPage
+	m.pages[idx] = r
+	m.watched = append(m.watched, idx)
+	if e := &m.tlb[idx%tlbSize]; e.idx == idx {
+		e.widx = noPage
+	}
+}
+
+// CodeGen returns the code generation, which moves on the first store
+// to a watched page. A decode cached at one generation is valid while
+// CodeGen returns the same value.
+func (m *Memory) CodeGen() uint64 { return m.codeGen }
 
 // Read8 reads one byte.
 func (m *Memory) Read8(addr uint32) uint8 {
@@ -155,10 +226,19 @@ func (m *Memory) WriteWidth(addr uint32, v uint32, width uint8) {
 	}
 }
 
-// ReadBytes copies n bytes starting at addr into dst and returns dst.
+// ReadBytes copies len(dst) bytes starting at addr into dst and returns
+// dst.
 func (m *Memory) ReadBytes(addr uint32, dst []byte) []byte {
-	for i := range dst {
-		dst[i] = m.Read8(addr + uint32(i))
+	for n := 0; n < len(dst); {
+		a := addr + uint32(n)
+		off := a % PageSize
+		chunk := dst[n:min(len(dst), n+int(PageSize-off))]
+		if p := m.lookup(a); p != nil {
+			copy(chunk, p[off:])
+		} else {
+			clear(chunk)
+		}
+		n += len(chunk)
 	}
 	return dst
 }
@@ -173,6 +253,23 @@ func (m *Memory) WriteBytes(addr uint32, b []byte) {
 // MappedPages returns the number of allocated pages (for footprint
 // accounting in tests and tools).
 func (m *Memory) MappedPages() int { return len(m.pages) }
+
+// Equal reports whether two address spaces hold the same byte at every
+// address. An unmapped page equals a page of zeros.
+func (m *Memory) Equal(o *Memory) bool {
+	var zero page
+	for idx, r := range m.pages {
+		if q := o.pages[idx].p; q != nil && *q != *r.p || q == nil && *r.p != zero {
+			return false
+		}
+	}
+	for idx, r := range o.pages {
+		if m.pages[idx].p == nil && *r.p != zero {
+			return false
+		}
+	}
+	return true
+}
 
 // State is the architected register state of the machine.
 type State struct {

@@ -108,3 +108,55 @@ func TestEffAddr(t *testing.T) {
 		}
 	}
 }
+
+// TestMemoryCodeWatch: the first store to a watched page moves the code
+// generation and clears every watch, whether the page's translation
+// entry was filled by a read, a store or not at all; stores to other
+// pages never move it.
+func TestMemoryCodeWatch(t *testing.T) {
+	m := NewMemory()
+	const code, other = 0x400000, 0x10000000
+	m.Write32(code, 0x90909090)
+	m.WatchCode(code)
+	m.WatchCode(code + PageSize) // unmapped: watching maps it
+	m.Write32(other, 1)
+	if g := m.CodeGen(); g != 0 {
+		t.Fatalf("store to an unwatched page moved the generation to %d", g)
+	}
+	_ = m.Read8(code)
+	m.Write8(code+7, 1)
+	if g := m.CodeGen(); g != 1 {
+		t.Fatalf("generation = %d after a store to a watched page, want 1", g)
+	}
+	m.Write8(code+PageSize, 1) // its watch was cleared with the first one
+	if g := m.CodeGen(); g != 1 {
+		t.Fatalf("generation = %d after a store to a cleared watch, want 1", g)
+	}
+	// Watch again, then evict the page's translation entry with a page
+	// that maps to the same slot: the refill must still see the watch.
+	m.WatchCode(code)
+	m.Write8(code+tlbSize*PageSize, 1)
+	m.Write16(code+PageSize-1, 0xFFFF) // straddles into the unwatched page
+	if g := m.CodeGen(); g != 2 {
+		t.Fatalf("generation = %d after a store through an evicted entry, want 2", g)
+	}
+	if m.Read8(code+PageSize-1) != 0xFF || m.Read8(code+PageSize) != 0xFF {
+		t.Fatal("the store that moved the generation was lost")
+	}
+}
+
+func TestMemoryEqual(t *testing.T) {
+	a, b := NewMemory(), NewMemory()
+	a.Write8(0x1234, 0) // a mapped page of zeros equals an unmapped one
+	if !a.Equal(b) || !b.Equal(a) {
+		t.Fatal("a page of zeros differs from an unmapped page")
+	}
+	b.Write8(0x5678, 1)
+	if a.Equal(b) || b.Equal(a) {
+		t.Fatal("memories differing in one byte compare equal")
+	}
+	a.Write8(0x5678, 1)
+	if !a.Equal(b) {
+		t.Fatal("memories with the same bytes compare unequal")
+	}
+}

@@ -35,12 +35,14 @@ GOMAXPROCS=2 go test -race -count=1 -timeout 900s \
 # build that breaks their alloc budgets or harness wiring fails here
 # rather than in a manual perf run.
 go test -run '^$' -bench 'DispatchHot|BBTTranslate' -benchtime=1x ./internal/vmm/ ./internal/bbt/
+go test -run '^$' -bench 'InterpStep' -benchtime=1x ./internal/interp/
 go test -run '^$' -bench 'Fig2' -benchtime=1x .
 
 # Perf gate. Three checks:
-#   1. The steady-state dispatch paths (chained and disabled-obs) must
-#      allocate exactly nothing per op — asserted by the ZeroAlloc
-#      tests via testing.AllocsPerRun, which is exact, unlike one
+#   1. The steady-state dispatch paths (chained and disabled-obs) and
+#      the interpreter's Step on a warm decode cache must allocate
+#      exactly nothing per op — asserted by the ZeroAlloc tests via
+#      testing.AllocsPerRun, which is exact, unlike one
 #      -benchtime=1x benchmark iteration.
 #   2. BBT translation must stay within its recorded byte ceiling per
 #      op (scratch-and-commit leaves only the arena's amortized slab
@@ -50,7 +52,7 @@ go test -run '^$' -bench 'Fig2' -benchtime=1x .
 #      one before it (generous threshold: wall-clock on shared CI hosts
 #      is noisy; the A/B minima in EXPERIMENTS.md are the precise
 #      record). The two snapshots are picked by PR number, not named.
-go test -race -count=1 -run 'ZeroAlloc' ./internal/vmm/
+go test -race -count=1 -run 'ZeroAlloc' ./internal/vmm/ ./internal/interp/
 bbt_bop="$(go test -run '^$' -bench 'BBTTranslateHot' -benchmem -benchtime 100x ./internal/bbt/ |
 	awk '/BenchmarkBBTTranslateHot/ {for (i=1; i<NF; i++) if ($(i+1) == "B/op") print $i}')"
 [ -n "$bbt_bop" ]
@@ -59,6 +61,13 @@ bench_nums="$(ls BENCH_PR*.json | sed 's/^BENCH_PR\([0-9]*\)\.json$/\1/' | sort 
 bench_old="BENCH_PR$(echo "$bench_nums" | head -1).json"
 bench_new="BENCH_PR$(echo "$bench_nums" | tail -1).json"
 go run ./scripts/benchjson -diff -fail-over 50 "$bench_old" "$bench_new"
+
+# Decode-cache fuzz gate: the interpreter's cached Step against
+# DecodeMem+Exec on random looping programs, some of which store into
+# their own code (tier-1 replays the committed corpus in
+# internal/interp/testdata/fuzz; this explores beyond it for a bounded
+# time).
+go test -run '^$' -fuzz '^FuzzInterpStep$' -fuzztime 20s -parallel 2 ./internal/interp/
 
 # Warm-start gate (persistent translation caches; DESIGN.md §10).
 # Four checks:
